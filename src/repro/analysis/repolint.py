@@ -32,6 +32,10 @@ Rule catalogue (ids are what suppressions name):
     ``pickle`` imports are allowed only in the warm-state modules
     (``browser/compile_cache.py``, ``scenarios/parallel.py``); anywhere
     else it is an eval-equivalent deserialization surface.
+``interned-ring``
+    No ``Ring(...)`` call outside ``core/rings.py``: rings are interned, and
+    code elsewhere gets them through ``as_ring`` or a ``RingSet``, so page
+    loads build no ``Ring`` objects.
 
 Suppression: append ``# repolint: allow[<rule-id>]`` to the flagged line.
 
@@ -49,6 +53,9 @@ from pathlib import Path
 
 #: Modules allowed to import pickle (warm-state shipping only).
 PICKLE_ALLOWED = ("browser/compile_cache.py", "scenarios/parallel.py")
+
+#: The one module allowed to construct ``Ring`` instances (the interning table).
+RING_MODULE = "core/rings.py"
 
 #: ``module.attribute`` call chains banned by the determinism rule.
 NONDETERMINISTIC_CALLS = {
@@ -340,6 +347,32 @@ class BoundedRetryRule(Rule):
         ]
 
 
+class InternedRingRule(Rule):
+    """``Ring`` objects are built only by the interning table in ``core/rings.py``."""
+
+    rule_id = "interned-ring"
+
+    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
+        if path.as_posix().endswith(RING_MODULE):
+            return []
+        violations: list[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Ring":
+                violations.append(
+                    self._violation(
+                        path,
+                        node,
+                        "Ring(...) outside core/rings.py builds a new ring; "
+                        "use as_ring(level) or a RingSet for the interned instance",
+                    )
+                )
+        return violations
+
+
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
@@ -348,6 +381,7 @@ ALL_RULES: tuple[Rule, ...] = (
     NoBareExceptRule(),
     PickleConfinementRule(),
     BoundedRetryRule(),
+    InternedRingRule(),
 )
 
 

@@ -149,7 +149,7 @@ def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float, float]
     principal = (
         page.principal_context_for(body) if body is not None else page.browser_principal()
     )
-    api = DomApi(page.document, page.monitor, principal)
+    api = DomApi(page.document, page.monitor, principal, rings=page.rings)
     elements = list(page.document.elements())
     before_total = page.monitor.stats.total
     cache = page.monitor.cache

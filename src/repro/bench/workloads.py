@@ -25,7 +25,7 @@ from repro.core.context import SecurityContext
 from repro.core.decision import Operation
 from repro.core.nonce import NonceGenerator
 from repro.core.origin import Origin
-from repro.core.rings import Ring, RingSet
+from repro.core.rings import RingSet, as_ring
 from repro.webapps.templates import EscudoPageTemplate
 
 #: Words used to synthesise text content (deterministic, no RNG needed).
@@ -131,8 +131,8 @@ def build_workload(spec: ScenarioSpec, *, nonce_seed: int = 42) -> Workload:
     plain_html = _build_page(spec, escudo=False, nonce_seed=nonce_seed)
 
     configuration = PageConfiguration(rings=RingSet(3))
-    configuration.cookie_policies["bench_session"] = ResourcePolicy(ring=Ring(1), acl=Acl.uniform(1))
-    configuration.api_policies["XMLHttpRequest"] = ResourcePolicy(ring=Ring(1), acl=Acl.uniform(1))
+    configuration.cookie_policies["bench_session"] = ResourcePolicy(ring=as_ring(1), acl=Acl.uniform(1))
+    configuration.api_policies["XMLHttpRequest"] = ResourcePolicy(ring=as_ring(1), acl=Acl.uniform(1))
     return Workload(spec=spec, escudo_html=escudo_html, plain_html=plain_html, configuration=configuration)
 
 
@@ -141,8 +141,8 @@ def _build_page(spec: ScenarioSpec, *, escudo: bool, nonce_seed: int) -> str:
         title=f"benchmark {spec.name}",
         escudo_enabled=escudo,
         nonces=NonceGenerator(nonce_seed),
-        head_ring=Ring(0),
-        chrome_ring=Ring(1),
+        head_ring=as_ring(0),
+        chrome_ring=as_ring(1),
     )
     page.add_head_style("p { margin: 2px; } table { border-collapse: collapse; }")
     page.add_chrome(f'<h1 id="page-title">Benchmark page {spec.name}</h1>', element_id="chrome-header")
@@ -235,14 +235,14 @@ def build_mediation_requests(
     origin = Origin.parse(origin_text)
     principals = [
         SecurityContext(
-            origin=origin, ring=Ring(ring), acl=Acl.uniform(ring), label=f"principal-r{ring}"
+            origin=origin, ring=as_ring(ring), acl=Acl.uniform(ring), label=f"principal-r{ring}"
         )
         for ring in spec.principal_rings
     ]
     targets = [
         SecurityContext(
             origin=origin,
-            ring=Ring(index % 4),
+            ring=as_ring(index % 4),
             acl=Acl.uniform(min(3, index % 4 + index % 2)),
             label=f"object-{index}",
         )

@@ -26,7 +26,7 @@ from repro.core.acl import Acl
 from repro.core.context import SecurityContext
 from repro.core.decision import Operation
 from repro.core.origin import Origin
-from repro.core.rings import Ring
+from repro.core.rings import as_ring
 from repro.faults.plan import NETWORK_RETRY_ATTEMPTS, SITE_NETWORK, SITE_XHR
 from repro.http.cookies import Cookie, CookieJar, authorized_cookies, format_cookie_header
 from repro.http.headers import Headers
@@ -452,10 +452,10 @@ class Browser:
         page = loaded.page
         if ring is None:
             principal_ring = (
-                page.rings.least_privileged() if page.escudo_enabled else Ring(0)
+                page.rings.least_privileged() if page.escudo_enabled else as_ring(0)
             )
         else:
-            principal_ring = Ring(ring)
+            principal_ring = as_ring(ring)
         principal = SecurityContext(
             origin=page.origin,
             ring=principal_ring,
@@ -506,7 +506,7 @@ class Browser:
             self.cookie_jar.set(existing.with_value(value))
             return True
         # Creating a new cookie: it can never be more privileged than its creator.
-        ring = principal.ring if page.escudo_enabled else Ring(0)
+        ring = principal.ring if page.escudo_enabled else as_ring(0)
         new_cookie = Cookie(
             name=name,
             value=value,

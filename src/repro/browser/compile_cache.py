@@ -59,7 +59,7 @@ from repro.html.parser import TreeBuilder
 from repro.html.tokenizer import tokenize
 from repro.scripting.cache import ScriptAstCache, ScriptCodeCache, ScriptReportCache
 
-from .labeler import LabelingStats, PageLabeler, document_uses_escudo
+from .labeler import LabelingStats, PageLabeler
 from .renderer import Renderer, RenderStats
 
 #: Default number of distinct page templates retained.
@@ -157,7 +157,7 @@ class TemplateCache:
         document = builder.build(tokenize(body))
         cached = CachedTemplate(
             document,
-            uses_escudo=document_uses_escudo(document),
+            uses_escudo=builder.uses_escudo,
             ignored_end_tags=builder.ignored_end_tags,
             mismatches=tuple(
                 (m.expected, m.found, m.context) for m in validator.mismatches

@@ -22,12 +22,19 @@ Rules applied during the walk:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.core.acl import Acl
-from repro.core.config import PageConfiguration, extract_ac_label
+from repro.core.config import (
+    AC_TAG_NAME,
+    PageConfiguration,
+    ac_label_key,
+    extract_ac_label,
+    is_ac_tag,
+)
 from repro.core.context import SecurityContext
 from repro.core.origin import Origin
-from repro.core.rings import Ring, RingSet
+from repro.core.rings import Ring, RingSet, as_ring
 from repro.core.scoping import effective_ring, is_violation
 from repro.dom.document import Document
 from repro.dom.element import Element
@@ -41,11 +48,6 @@ class LabelingStats:
     ac_tags: int = 0
     scoping_clamps: int = 0
     ring_histogram: dict[int, int] = field(default_factory=dict)
-
-    def note(self, ring_level: int) -> None:
-        """Count one labelled element in ``ring_level``."""
-        self.labelled_elements += 1
-        self.ring_histogram[ring_level] = self.ring_histogram.get(ring_level, 0) + 1
 
 
 class PageLabeler:
@@ -87,7 +89,7 @@ class PageLabeler:
         # origin -- exactly the same-origin policy.
         return SecurityContext(
             origin=self.origin,
-            ring=Ring(0),
+            ring=as_ring(0),
             acl=Acl.uniform(0),
             label="legacy content",
         )
@@ -106,44 +108,74 @@ class PageLabeler:
           the nearest enclosing AC tag.  Top-level AC tags are unbounded
           (bound = ring 0), because the scoping rule constrains *nested*
           scopes, not siblings of unlabelled content.
+
+        The walk is iterative and visits elements in document (pre-)order.
+        An AC tag's scope depends only on its label attributes and its
+        bound, so each distinct ``(label key, bound)`` pair is parsed once
+        per pass and its scopes share one frozen context.
         """
+        histogram = self.stats.ring_histogram
+        escudo_enabled = self.escudo_enabled
+        scopes: dict[tuple, tuple[SecurityContext, bool]] = {}
+        labelled = ac_tags = clamps = 0
+        # One entry per open element: an iterator over its children, resumed
+        # after each child's subtree, plus the scope and bound they inherit.
         default = self.page_default_context()
-        for child in document.children:
-            if isinstance(child, Element):
-                self._label(child, default, Ring(0))
-        return self.stats
+        stack = [(iter(document.children), default, self.rings.most_privileged())]
+        while stack:
+            nodes, scope, bound = stack[-1]
+            for element in nodes:
+                if not isinstance(element, Element):
+                    continue
+                context, child_bound = scope, bound
+                attributes = element._attributes
+                # The tag-name test first keeps the call off the non-div majority.
+                if escudo_enabled and element.tag_name == AC_TAG_NAME and is_ac_tag(AC_TAG_NAME, attributes):
+                    key = (ac_label_key(attributes), bound.level)
+                    entry = scopes.get(key)
+                    if entry is None:
+                        entry = scopes[key] = self._scope_for_ac_tag(attributes, bound)
+                    context, clamped = entry
+                    child_bound = context.ring
+                    ac_tags += 1
+                    clamps += clamped
+                # Every element in a scope shares the scope's (immutable) context
+                # object: the ring mapping is per-scope, and sharing keeps the
+                # labelling pass cheap (Figure 4 measures exactly this bookkeeping).
+                if element.security_context is None:
+                    element.assign_security_context(context)
+                level = context.ring.level
+                histogram[level] = histogram.get(level, 0) + 1
+                labelled += 1
+                if element.children:
+                    stack.append((iter(element.children), context, child_bound))
+                    break
+            else:
+                stack.pop()
+        stats = self.stats
+        stats.labelled_elements += labelled
+        stats.ac_tags += ac_tags
+        stats.scoping_clamps += clamps
+        return stats
 
-    def _label(self, element: Element, scope: SecurityContext, bound: Ring) -> None:
-        context = scope
-        child_bound = bound
-        if self.escudo_enabled and element.is_ac_tag:
-            context = self._scope_for_ac_tag(element, bound)
-            child_bound = context.ring
-            self.stats.ac_tags += 1
-        # Every element in a scope shares the scope's (immutable) context
-        # object: the ring mapping is per-scope, and sharing keeps the
-        # labelling pass cheap (Figure 4 measures exactly this bookkeeping).
-        if element.security_context is None:
-            element.assign_security_context(context)
-        self.stats.note(context.ring.level)
-        for child in element.element_children():
-            self._label(child, context, child_bound)
-
-    def _scope_for_ac_tag(self, element: Element, bound: Ring) -> SecurityContext:
-        label = extract_ac_label(element.attributes, self.rings)
-        if is_violation(label.declared_ring, bound):
-            self.stats.scoping_clamps += 1
+    def _scope_for_ac_tag(
+        self, attributes: Mapping[str, str], bound: Ring
+    ) -> tuple[SecurityContext, bool]:
+        """The context an AC tag's scope gets, and whether the bound clamped it."""
+        label = extract_ac_label(attributes, self.rings)
+        clamped = is_violation(label.declared_ring, bound)
         if self.enforce_scoping:
             ring = effective_ring(label.declared_ring, bound)
         else:
             ring = label.declared_ring if label.declared_ring is not None else bound
         acl = label.acl if label.acl is not None else Acl.default()
-        return SecurityContext(
+        context = SecurityContext(
             origin=self.origin,
             ring=ring,
             acl=acl,
             label=f"ac-scope ring {ring.level}",
         )
+        return context, clamped
 
 
 def document_uses_escudo(document: Document) -> bool:

@@ -23,7 +23,7 @@ from repro.http.url import Url
 
 from .compile_cache import CompileCaches
 from .event_loop import EventLoop
-from .labeler import PageLabeler, document_uses_escudo
+from .labeler import PageLabeler
 from .page import Page
 from .renderer import Renderer, RenderStats
 
@@ -163,7 +163,7 @@ def _compile_cold(body: str, page_url: Url, config: PageConfiguration, opts: Loa
 
     # 2. Decide whether the page is ESCUDO-enabled (headers OR AC tags).
     escudo_enabled = bool(opts.escudo_bookkeeping) and (
-        config.escudo_enabled or document_uses_escudo(document)
+        config.escudo_enabled or builder.uses_escudo
     )
     if escudo_enabled and not config.escudo_enabled:
         config = _upgraded_for_ac_tags(config)

@@ -364,6 +364,7 @@ class _PrincipalEnvironment:
             principal,
             api_object=runtime.dom_api_object,
             listener_registry=self._register_raw_listener,
+            rings=self.page.rings,
         )
         self.document_binding = DocumentBinding(self.dom_api, self)
         self.console_binding = ConsoleBinding(runtime.observations.console)

@@ -30,9 +30,9 @@ class Acl:
     Each field holds the outermost ring allowed to perform that operation.
     """
 
-    read: Ring = Ring(MOST_PRIVILEGED)
-    write: Ring = Ring(MOST_PRIVILEGED)
-    use: Ring = Ring(MOST_PRIVILEGED)
+    read: Ring = as_ring(MOST_PRIVILEGED)
+    write: Ring = as_ring(MOST_PRIVILEGED)
+    use: Ring = as_ring(MOST_PRIVILEGED)
 
     # -- construction ---------------------------------------------------------
 
@@ -55,9 +55,7 @@ class Acl:
         Missing operations default to ring 0 (most restrictive).
         """
         def coerce(value: Ring | int | None) -> Ring:
-            if value is None:
-                return Ring(MOST_PRIVILEGED)
-            return as_ring(value)
+            return as_ring(MOST_PRIVILEGED if value is None else value)
 
         return cls(read=coerce(read), write=coerce(write), use=coerce(use))
 
@@ -82,19 +80,19 @@ class Acl:
                 ring = universe.clamp(raw)
             elif isinstance(raw, int) and not isinstance(raw, bool):
                 if raw < 0:
-                    ring = Ring(MOST_PRIVILEGED)
+                    ring = as_ring(MOST_PRIVILEGED)
                 else:
                     ring = universe.clamp(raw)
             else:
                 ring = universe.parse_label(
                     str(raw) if raw is not None else None,
-                    default=Ring(MOST_PRIVILEGED),
+                    default=as_ring(MOST_PRIVILEGED),
                 )
             limits[operation] = ring
         return cls(
-            read=limits.get(Operation.READ, Ring(MOST_PRIVILEGED)),
-            write=limits.get(Operation.WRITE, Ring(MOST_PRIVILEGED)),
-            use=limits.get(Operation.USE, Ring(MOST_PRIVILEGED)),
+            read=limits.get(Operation.READ, as_ring(MOST_PRIVILEGED)),
+            write=limits.get(Operation.WRITE, as_ring(MOST_PRIVILEGED)),
+            use=limits.get(Operation.USE, as_ring(MOST_PRIVILEGED)),
         )
 
     # -- queries ---------------------------------------------------------------

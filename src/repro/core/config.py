@@ -28,9 +28,10 @@ from functools import lru_cache
 from typing import Mapping
 
 from .acl import Acl, parse_acl_attributes
+from .decision import _OPERATION_ALIASES
 from .errors import ConfigurationError
 from .nonce import NONCE_ATTRIBUTE
-from .rings import DEFAULT_RING_COUNT, Ring, RingSet
+from .rings import DEFAULT_RING_COUNT, Ring, RingSet, as_ring
 
 #: The HTML tag used for access-control scoping.
 AC_TAG_NAME = "div"
@@ -49,6 +50,11 @@ API_POLICY_HEADER = "X-Escudo-Api-Policy"
 
 #: All ESCUDO attribute names an AC tag may carry (used by tamper protection).
 PROTECTED_ATTRIBUTES = frozenset({RING_ATTRIBUTE, "r", "w", "x", NONCE_ATTRIBUTE})
+
+#: Every attribute name :func:`extract_ac_label` reads a ring or ACL from:
+#: the ring attribute plus each operation alias ``Acl.from_mapping`` accepts.
+#: The nonce is left out: it never changes a tag's ring or ACL.
+LABEL_ATTRIBUTES = frozenset({RING_ATTRIBUTE, *_OPERATION_ALIASES})
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,18 @@ def _fast_acl(lowered: Mapping[str, str], universe: RingSet) -> Acl | None:
         if not text.isdigit():
             return Acl.from_mapping(lowered, rings=universe)
         limits.append(min(int(text), highest))
-    return Acl(read=Ring(limits[0]), write=Ring(limits[1]), use=Ring(limits[2]))
+    return Acl(read=as_ring(limits[0]), write=as_ring(limits[1]), use=as_ring(limits[2]))
+
+
+def ac_label_key(attributes: Mapping[str, str]) -> tuple:
+    """The ``(name, value)`` pairs that decide an AC tag's ring and ACL.
+
+    Pairs are kept in attribute order, because ``Acl.from_mapping`` lets the
+    last alias of an operation win.  Two tags with equal keys get equal
+    :func:`extract_ac_label` results apart from the nonce, so the labeler
+    parses each distinct key once per page.
+    """
+    return tuple([item for item in attributes.items() if item[0].strip().lower() in LABEL_ATTRIBUTES])
 
 
 def is_ac_tag(tag_name: str, attributes: Mapping[str, str]) -> bool:
@@ -133,11 +150,9 @@ def is_ac_tag(tag_name: str, attributes: Mapping[str, str]) -> bool:
     """
     if tag_name.lower() != AC_TAG_NAME:
         return False
-    for key in attributes:
-        lowered = key.lower() if not key.islower() else key
-        if lowered in PROTECTED_ATTRIBUTES:
-            return True
-    return False
+    if not PROTECTED_ATTRIBUTES.isdisjoint(attributes):
+        return True
+    return any(key.lower() in PROTECTED_ATTRIBUTES for key in attributes if not key.islower())
 
 
 @dataclass(frozen=True)
@@ -150,12 +165,12 @@ class ResourcePolicy:
     @classmethod
     def ring_zero(cls) -> "ResourcePolicy":
         """The fail-safe default: ring 0 with an all-ring-0 ACL."""
-        return cls(ring=Ring(0), acl=Acl.uniform(0))
+        return cls(ring=as_ring(0), acl=Acl.uniform(0))
 
     @classmethod
     def uniform(cls, ring: Ring | int) -> "ResourcePolicy":
         """Ring ``ring`` with an ACL allowing the same outermost ring."""
-        r = Ring(ring) if not isinstance(ring, Ring) else ring
+        r = as_ring(ring)
         return cls(ring=r, acl=Acl.uniform(r))
 
 
@@ -330,7 +345,7 @@ def parse_policy_header(value: str, rings: RingSet | None = None) -> dict[str, R
         for part in parts[1:]:
             key, _, raw = part.partition("=")
             params[key.strip().lower()] = raw.strip()
-        ring = universe.parse_label(params.get(RING_ATTRIBUTE), default=Ring(0))
+        ring = universe.parse_label(params.get(RING_ATTRIBUTE), default=as_ring(0))
         acl_params = {k: v for k, v in params.items() if k in {"r", "w", "x", "read", "write", "use"}}
         if acl_params:
             acl = Acl.from_mapping(acl_params, rings=universe)

@@ -86,7 +86,7 @@ class SecurityContext:
     @classmethod
     def for_infrastructure(cls, origin: Origin, label: str) -> "SecurityContext":
         """Ring-0 context for cookies, native APIs and browser state defaults."""
-        return cls(origin=origin, ring=Ring(0), acl=Acl.uniform(0), label=label)
+        return cls(origin=origin, ring=as_ring(0), acl=Acl.uniform(0), label=label)
 
     def __str__(self) -> str:
         return f"{self.label}@{self.origin} [{self.ring}, acl {self.acl}]"

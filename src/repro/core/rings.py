@@ -13,6 +13,10 @@ This module provides:
   privileged, so ``Ring(0).is_at_least_as_privileged_as(Ring(3))`` is true.
 * :class:`RingSet` -- the per-page ring universe (``0 .. highest``), used to
   validate and clamp labels coming from untrusted markup.
+* :func:`as_ring` -- the one way to obtain a ``Ring`` outside this module.
+  Rings are interned: every level has one shared instance, created when the
+  module loads or when a ``RingSet`` first spans it, so labelling a page
+  builds no ``Ring`` objects at all.
 * Module-level constants for the defaults the paper prescribes
   (:data:`DEFAULT_RING_COUNT`, :data:`MOST_PRIVILEGED`).
 """
@@ -78,11 +82,15 @@ class Ring:
         Used by the scoping rule: a child element labelled ``ring=1`` inside
         a scope labelled ``ring=2`` is effectively in ring 2.
         """
-        return Ring(max(self.level, _level_of(outer)))
+        if self.level >= _level_of(outer):
+            return self
+        return as_ring(outer)
 
     def elevated_to(self, inner: "Ring | int") -> "Ring":
         """Return the more privileged of the two rings."""
-        return Ring(min(self.level, _level_of(inner)))
+        if self.level <= _level_of(inner):
+            return self
+        return as_ring(inner)
 
     # -- dunder conveniences --------------------------------------------------
 
@@ -119,11 +127,28 @@ def _level_of(value: "Ring | int") -> int:
     return value
 
 
+#: The interned rings, keyed by level.  Entries are only ever added, and
+#: ``setdefault`` is atomic, so every caller sees one instance per level.
+_INTERNED: dict[int, Ring] = {level: Ring(level) for level in range(DEFAULT_RING_COUNT)}
+
+
+def _intern(level: int) -> Ring:
+    """The shared ``Ring`` for a validated, non-negative ``level``."""
+    ring = _INTERNED.get(level)
+    if ring is None:
+        ring = _INTERNED.setdefault(level, Ring(level))
+    return ring
+
+
 def as_ring(value: "Ring | int") -> Ring:
-    """Coerce an integer or ``Ring`` into a ``Ring`` instance."""
+    """Coerce an integer or ``Ring`` into a ``Ring`` instance.
+
+    A ``Ring`` argument is returned as is; an integer maps to the interned
+    instance for its level.
+    """
     if isinstance(value, Ring):
         return value
-    return Ring(_level_of(value))
+    return _intern(_level_of(value))
 
 
 class RingSet:
@@ -145,6 +170,7 @@ class RingSet:
         if highest < 0:
             raise ConfigurationError("a ring set needs at least ring 0")
         self._highest = highest
+        self._rings = tuple(_intern(level) for level in range(highest + 1))
 
     # -- basic queries --------------------------------------------------------
 
@@ -160,11 +186,11 @@ class RingSet:
 
     def most_privileged(self) -> Ring:
         """Ring 0."""
-        return Ring(MOST_PRIVILEGED)
+        return self._rings[MOST_PRIVILEGED]
 
     def least_privileged(self) -> Ring:
         """Ring ``N`` -- the fail-safe default for unlabelled DOM content."""
-        return Ring(self._highest)
+        return self._rings[-1]
 
     def __contains__(self, value: "Ring | int") -> bool:
         try:
@@ -174,7 +200,7 @@ class RingSet:
         return 0 <= level <= self._highest
 
     def __iter__(self) -> Iterator[Ring]:
-        return (Ring(level) for level in range(self.count))
+        return iter(self._rings)
 
     def __len__(self) -> int:
         return self.count
@@ -203,10 +229,10 @@ class RingSet:
         direction): anything above the highest ring becomes the least
         privileged ring.
         """
-        ring = as_ring(value)
-        if ring.level > self._highest:
-            return self.least_privileged()
-        return ring
+        level = _level_of(value)
+        if level > self._highest:
+            return self._rings[-1]
+        return self._rings[level]
 
     def parse_label(self, text: str | None, *, default: "Ring | None" = None) -> Ring:
         """Parse a ring label from untrusted markup text.

@@ -30,7 +30,7 @@ the insertion point allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.acl import Acl
@@ -38,6 +38,7 @@ from repro.core.config import PROTECTED_ATTRIBUTES, extract_ac_label
 from repro.core.context import SecurityContext
 from repro.core.decision import AccessDecision, Operation
 from repro.core.monitor import ReferenceMonitor
+from repro.core.rings import RingSet
 from repro.core.scoping import effective_ring
 
 from .document import Document
@@ -222,10 +223,14 @@ class DomApi:
         api_object: SecurityContext | None = None,
         listener_registry: Callable[[Element, str, Callable], None] | None = None,
         default_new_element_acl: Acl | None = None,
+        rings: RingSet | None = None,
     ) -> None:
         self.document = document
         self.monitor = monitor
         self.principal = principal
+        #: The page's ring universe: labels of script-created content are
+        #: parsed and clamped in it, exactly like the page's static markup.
+        self.rings = rings if rings is not None else RingSet()
         self.api_object = api_object
         self.stats = DomApiStats()
         self.last_denial: AccessDecision | None = None
@@ -255,7 +260,7 @@ class DomApi:
         context = self._fallback_contexts.get(tag)
         if context is None:
             context = SecurityContext.for_page_default(
-                origin=self.principal.origin, rings=_default_rings(), label=f"<{tag}>"
+                origin=self.principal.origin, rings=self.rings, label=f"<{tag}>"
             )
             self._fallback_contexts[tag] = context
         return context
@@ -337,7 +342,7 @@ class DomApi:
         decision = self.monitor.deny_tampering(
             self.principal,
             element.security_context
-            or SecurityContext.for_page_default(self.principal.origin, _default_rings(), f"<{element.tag_name}>"),
+            or SecurityContext.for_page_default(self.principal.origin, self.rings, f"<{element.tag_name}>"),
             operation,
             reason=f"attribute {attribute!r} holds ESCUDO configuration",
             object_label=f"<{element.tag_name}>",
@@ -365,12 +370,12 @@ class DomApi:
         parent_context = parent.security_context
         if parent_context is None:
             parent_context = SecurityContext.for_page_default(
-                self.principal.origin, _default_rings(), f"<{parent.tag_name}>"
+                self.principal.origin, self.rings, f"<{parent.tag_name}>"
             )
         self._label_recursive(element, parent_context)
 
     def _label_recursive(self, element: Element, parent_context: SecurityContext) -> None:
-        label = extract_ac_label(element.attributes)
+        label = extract_ac_label(element.attributes, self.rings)
         ring = effective_ring(label.declared_ring, parent_context.ring)
         # Dynamically created principals are additionally bounded by their
         # creator: a ring-3 script cannot mint a ring-1 script even inside a
@@ -451,21 +456,3 @@ class DomApi:
         """``document.title`` (reads are unmediated: the title is page chrome)."""
         titles = self.document.get_elements_by_tag_name("title")
         return titles[0].text_content if titles else ""
-
-
-@dataclass
-class _RingDefaults:
-    """Cache for the default ring universe used when labelling is incomplete."""
-
-    rings: object = field(default=None)
-
-
-_defaults = _RingDefaults()
-
-
-def _default_rings():
-    from repro.core.rings import RingSet
-
-    if _defaults.rings is None:
-        _defaults.rings = RingSet()
-    return _defaults.rings

@@ -59,6 +59,10 @@ class TreeBuilder:
         self.nonce_validator = nonce_validator
         self._stack: list[Element] = []
         self._ignored_end_tags = 0
+        #: True once an AC tag was built.  The builder never removes an
+        #: element, so this equals ``document_uses_escudo`` on the result
+        #: without a second walk over the tree.
+        self.uses_escudo = False
 
     # -- public API -----------------------------------------------------------------
 
@@ -97,6 +101,8 @@ class TreeBuilder:
             self._stack.pop()
         element = Element(name, token.attributes)
         element.owner_document = self.document
+        if not self.uses_escudo and element.tag_name == "div":
+            self.uses_escudo = element.is_ac_tag
         self._current().append_child(element)
         if token.self_closing or name in VOID_ELEMENTS:
             return

@@ -24,7 +24,7 @@ from repro.core.context import SecurityContext
 from repro.core.decision import Operation
 from repro.core.monitor import ReferenceMonitor
 from repro.core.origin import Origin
-from repro.core.rings import Ring
+from repro.core.rings import Ring, as_ring
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Cookie:
     path: str = "/"
     secure: bool = False
     http_only: bool = False
-    ring: Ring = field(default_factory=lambda: Ring(0))
+    ring: Ring = field(default_factory=lambda: as_ring(0))
     acl: Acl = field(default_factory=lambda: Acl.uniform(0))
 
     @property

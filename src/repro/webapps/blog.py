@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.acl import Acl
 from repro.core.config import PageConfiguration, ResourcePolicy
-from repro.core.rings import Ring, RingSet
+from repro.core.rings import RingSet, as_ring
 from repro.http.messages import HttpResponse
 
 from .framework import RequestContext, WebApplication
@@ -147,8 +147,8 @@ class Blog(WebApplication):
     def escudo_configuration(self) -> PageConfiguration:
         """Session cookie at ring 1, XHR at ring 1."""
         config = PageConfiguration(rings=RingSet(3))
-        config.cookie_policies[SESSION_COOKIE] = ResourcePolicy(ring=Ring(1), acl=Acl.uniform(1))
-        config.api_policies["XMLHttpRequest"] = ResourcePolicy(ring=Ring(1), acl=Acl.uniform(1))
+        config.cookie_policies[SESSION_COOKIE] = ResourcePolicy(ring=as_ring(1), acl=Acl.uniform(1))
+        config.api_policies["XMLHttpRequest"] = ResourcePolicy(ring=as_ring(1), acl=Acl.uniform(1))
         return config
 
     def register_routes(self) -> None:
@@ -314,8 +314,8 @@ class Blog(WebApplication):
             title=title,
             escudo_enabled=self.escudo_enabled,
             nonces=self.nonce_generator(),
-            head_ring=Ring(0),
-            chrome_ring=Ring(CHROME_RING),
+            head_ring=as_ring(0),
+            chrome_ring=as_ring(CHROME_RING),
         )
         page.add_head_style("article { max-width: 40em; } .comment { margin-left: 2em; }")
         page.add_chrome(

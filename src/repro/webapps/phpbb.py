@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.core.acl import Acl
 from repro.core.config import PageConfiguration, ResourcePolicy
-from repro.core.rings import Ring, RingSet
+from repro.core.rings import RingSet, as_ring
 from repro.http.messages import HttpResponse
 
 from .framework import RequestContext, WebApplication
@@ -212,11 +212,11 @@ class PhpBB(WebApplication):
     def escudo_configuration(self) -> PageConfiguration:
         """Cookie and native-API ring mappings from Table 3."""
         config = PageConfiguration(rings=RingSet(3))
-        cookie_policy = ResourcePolicy(ring=Ring(COOKIE_RING), acl=Acl.uniform(COOKIE_RING))
+        cookie_policy = ResourcePolicy(ring=as_ring(COOKIE_RING), acl=Acl.uniform(COOKIE_RING))
         config.cookie_policies[SID_COOKIE] = cookie_policy
         config.cookie_policies[DATA_COOKIE] = cookie_policy
         config.api_policies["XMLHttpRequest"] = ResourcePolicy(
-            ring=Ring(XHR_RING), acl=Acl.uniform(XHR_RING)
+            ring=as_ring(XHR_RING), acl=Acl.uniform(XHR_RING)
         )
         return config
 
@@ -316,8 +316,8 @@ class PhpBB(WebApplication):
             title=title,
             escudo_enabled=self.escudo_enabled,
             nonces=self.nonce_generator(),
-            head_ring=Ring(0),
-            chrome_ring=Ring(APPLICATION_RING),
+            head_ring=as_ring(0),
+            chrome_ring=as_ring(APPLICATION_RING),
         )
         page.add_head_style("body { font-family: sans-serif; } .post { margin: 8px; }")
         page.add_head_script("var forumVersion = 'miniBB 1.0';")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.core.acl import Acl
 from repro.core.config import PageConfiguration, ResourcePolicy
-from repro.core.rings import Ring, RingSet
+from repro.core.rings import RingSet, as_ring
 from repro.http.messages import HttpResponse
 
 from .framework import RequestContext, WebApplication
@@ -135,10 +135,10 @@ class PhpCalendar(WebApplication):
         """Cookie and native-API ring mappings from Table 5."""
         config = PageConfiguration(rings=RingSet(3))
         config.cookie_policies[SESSION_COOKIE] = ResourcePolicy(
-            ring=Ring(COOKIE_RING), acl=Acl.uniform(COOKIE_RING)
+            ring=as_ring(COOKIE_RING), acl=Acl.uniform(COOKIE_RING)
         )
         config.api_policies["XMLHttpRequest"] = ResourcePolicy(
-            ring=Ring(XHR_RING), acl=Acl.uniform(XHR_RING)
+            ring=as_ring(XHR_RING), acl=Acl.uniform(XHR_RING)
         )
         return config
 
@@ -190,8 +190,8 @@ class PhpCalendar(WebApplication):
             title=title,
             escudo_enabled=self.escudo_enabled,
             nonces=self.nonce_generator(),
-            head_ring=Ring(0),
-            chrome_ring=Ring(APPLICATION_RING),
+            head_ring=as_ring(0),
+            chrome_ring=as_ring(APPLICATION_RING),
         )
         page.add_head_style(".event { border: 1px solid #999; margin: 4px; }")
         user = context.username or "guest"

@@ -143,8 +143,8 @@ class EscudoPageTemplate:
     title: str
     escudo_enabled: bool = True
     nonces: NonceGenerator = field(default_factory=NonceGenerator)
-    head_ring: Ring = field(default_factory=lambda: Ring(0))
-    chrome_ring: Ring = field(default_factory=lambda: Ring(1))
+    head_ring: Ring = field(default_factory=lambda: as_ring(0))
+    chrome_ring: Ring = field(default_factory=lambda: as_ring(1))
     head_extra: list[str] = field(default_factory=list)
     chrome_sections: list[ContentScope] = field(default_factory=list)
     content_sections: list[ContentScope] = field(default_factory=list)

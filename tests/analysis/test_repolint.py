@@ -41,6 +41,9 @@ class WidgetCache:
             attempts += 1
             if self.lookup(key) is not None:
                 return attempts
+
+    def default_ring(self):
+        return Ring(0)  # a fresh ring instead of the interned one
 '''
 
 
@@ -105,3 +108,16 @@ def test_syntax_error_is_reported_not_raised(tmp_path):
     violations = lint_paths([broken])
     assert len(violations) == 1
     assert violations[0].rule == "syntax"
+
+
+def test_interned_ring_rule_allows_only_the_rings_module(tmp_path):
+    source = "from repro.core import rings\nA = rings.Ring(2)\nB = as_ring(2)\n"
+    elsewhere = tmp_path / "browser" / "labeler.py"
+    home = tmp_path / "core" / "rings.py"
+    for target in (elsewhere, home):
+        target.parent.mkdir()
+        target.write_text(source, encoding="utf-8")
+    violations = lint_paths([tmp_path])
+    assert [(Path(v.path).name, v.line, v.rule) for v in violations] == [
+        ("labeler.py", 2, "interned-ring")
+    ]

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.browser.browser import Browser
-from repro.core.rings import Ring
-from repro.http.messages import HttpResponse
+from repro.core.config import PageConfiguration
+from repro.core.rings import Ring, RingSet
+from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.network import Network
 
 from .conftest import ORIGIN_TEXT, ForumServer, forum_configuration
@@ -239,3 +240,41 @@ class TestScriptFaultIsolation:
         run = browser.run_script(loaded, "while (true) { var spin = 1; }", ring=1)
         assert not run.succeeded
         assert "budget" in str(run.result.error).lower()
+
+
+
+#: A page whose application uses seven rings (0..6): a ring-1 container for
+#: script-created content next to a statically labelled ring-5 block.
+SEVEN_RING_BODY = (
+    "<html><body>"
+    '<div ring="1" r="1" w="1" x="1" id="host"></div>'
+    '<div ring="5" id="static">static</div>'
+    "</body></html>"
+)
+
+
+class SevenRingServer:
+    def handle_request(self, request: HttpRequest) -> HttpResponse:
+        response = HttpResponse.html(SEVEN_RING_BODY)
+        response.apply_escudo_headers(PageConfiguration(rings=RingSet(6)))
+        return response
+
+
+class TestScriptCreatedContentRingUniverse:
+    def test_static_and_script_created_labels_agree_beyond_four_rings(self):
+        network = Network()
+        network.register(ORIGIN_TEXT, SevenRingServer())
+        browser = Browser(network)
+        loaded = browser.load(f"{ORIGIN_TEXT}/page")
+        assert loaded.page.rings.highest_level == 6
+        run = browser.run_script(
+            loaded,
+            "document.getElementById('host').innerHTML = '<div ring=\"5\" id=\"dynamic\">d</div>';",
+            ring=1,
+        )
+        assert run.succeeded
+        document = loaded.page.document
+        static = document.get_element_by_id("static").security_context
+        dynamic = document.get_element_by_id("dynamic").security_context
+        assert static.ring == Ring(5)
+        assert dynamic.ring == static.ring

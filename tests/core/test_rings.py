@@ -73,6 +73,41 @@ class TestAsRing:
             as_ring("0")  # type: ignore[arg-type]
 
 
+class TestInterning:
+    def test_as_ring_returns_one_instance_per_level(self):
+        assert as_ring(2) is as_ring(2)
+        assert as_ring(Ring(2)) == as_ring(2)
+
+    def test_ring_set_hands_out_interned_rings(self):
+        rings = RingSet(6)
+        assert rings.most_privileged() is as_ring(0)
+        assert rings.least_privileged() is as_ring(6)
+        assert [ring is as_ring(ring.level) for ring in rings] == [True] * 7
+        assert rings.clamp(5) is as_ring(5)
+        assert rings.clamp(10**9) is as_ring(6)
+
+    def test_combinators_return_existing_instances(self):
+        one, three = as_ring(1), as_ring(3)
+        assert one.restricted_to(three) is three
+        assert three.restricted_to(one) is three
+        assert three.restricted_to(1) is three
+        assert one.elevated_to(three) is one
+        assert three.elevated_to(1) is one
+
+    def test_value_semantics_are_unchanged(self):
+        import pickle
+
+        fresh = Ring(2)
+        assert fresh == as_ring(2) and hash(fresh) == hash(as_ring(2))
+        assert repr(as_ring(2)) == "Ring(2)"
+        assert pickle.loads(pickle.dumps(as_ring(2))) == as_ring(2)
+
+    def test_as_ring_rejects_what_ring_rejects(self):
+        for bad in (True, 1.0, -1, "1"):
+            with pytest.raises(ConfigurationError):
+                as_ring(bad)  # type: ignore[arg-type]
+
+
 class TestRingSet:
     def test_default_matches_paper_example(self):
         rings = RingSet()

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro.browser.labeler as labeler_module
 from repro.attacks.csrf import all_csrf_attacks
 from repro.attacks.harness import defense_effectiveness_matrix, run_attacks, summarize
 from repro.attacks.xss import all_xss_attacks
-from repro.bench.timing import average_overhead, measure_all
+from repro.bench.timing import average_overhead, measure_all, parse_and_render
 from repro.bench.workloads import SCENARIOS, build_workload
 from repro.browser.browser import Browser
+from repro.core.config import ac_label_key
 from repro.core.rings import Ring
 from repro.http.network import Network
 from repro.webapps.phpbb import PhpBB
@@ -105,18 +107,51 @@ class TestOverheadShape:
     def test_escudo_overhead_is_a_small_fraction_of_the_pipeline(self):
         rows = measure_all([build_workload(spec) for spec in SCENARIOS], repetitions=5)
         overall = average_overhead(rows)
-        # The paper reports ~5 %.  Absolute numbers differ on a synthetic
-        # substrate; the claim that must hold is "small fraction, not a
-        # multiple": allow generous noise but fail if bookkeeping ever costs
-        # a large share of the pipeline.
-        assert -25.0 < overall < 60.0, f"average overhead {overall:.1f}% is out of the expected range"
+        # The paper reports ~5 %.  Twenty consecutive runs of this check on
+        # a shared 2-CPU host measured 4.7 % .. 15.4 % (best of 5 per page);
+        # the band leaves room for host noise but fails if bookkeeping ever
+        # costs a large share of the pipeline again.  The exact-count test
+        # below is the falsifiable half of the claim.
+        assert -5.0 < overall < 30.0, f"average overhead {overall:.1f}% is out of the expected range"
 
     def test_bookkeeping_counters_scale_with_configuration_density(self):
         light = build_workload(SCENARIOS[0])
         heavy = build_workload(SCENARIOS[-1])
-        from repro.bench.timing import parse_and_render
-
         light_page = parse_and_render(light, escudo=True)
         heavy_page = parse_and_render(heavy, escudo=True)
         assert heavy_page.labeling.ac_tags > light_page.labeling.ac_tags
         assert heavy_page.labeling.labelled_elements > light_page.labeling.labelled_elements
+
+    @pytest.mark.parametrize("spec", SCENARIOS, ids=[spec.name for spec in SCENARIOS])
+    def test_labelling_parses_each_distinct_scope_once_and_builds_no_ring(self, spec, monkeypatch):
+        # The deterministic half of the Figure-4 cost: an ESCUDO page load
+        # parses one AC label per distinct (label attributes, bound) pair and
+        # takes every ring from the interning table.
+        workload = build_workload(spec)
+        parses = []
+        rings_built = []
+        extract, ring_init = labeler_module.extract_ac_label, Ring.__init__
+
+        def counting_extract(*args, **kwargs):
+            parses.append(args)
+            return extract(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            rings_built.append(args)
+            ring_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(labeler_module, "extract_ac_label", counting_extract)
+        monkeypatch.setattr(Ring, "__init__", counting_init)
+        page = parse_and_render(workload, escudo=True)
+        parse_and_render(workload, escudo=False)
+        monkeypatch.undo()
+
+        distinct = set()
+        for element in page.document.elements():
+            if element.is_ac_tag:
+                enclosing = element.closest_ac_ancestor()
+                bound = enclosing.security_context.ring.level if enclosing is not None else 0
+                distinct.add((ac_label_key(element.attributes), bound))
+        assert page.labeling.ac_tags == spec.ac_tags
+        assert len(parses) == len(distinct)
+        assert rings_built == []
