@@ -36,6 +36,13 @@ Rule catalogue (ids are what suppressions name):
     No ``Ring(...)`` call outside ``core/rings.py``: rings are interned, and
     code elsewhere gets them through ``as_ring`` or a ``RingSet``, so page
     loads build no ``Ring`` objects.
+``iterative-tree-walk``
+    No self-recursive function under ``repro/dom``, ``repro/html`` or
+    ``repro/browser``: a module-level function calling its own bare name, or
+    a method calling itself through ``self.``/``cls.``.  Those packages walk
+    DOM and box trees whose depth the page author controls, and one Python
+    frame per level raises ``RecursionError`` near 1,000 levels; walk with
+    an explicit stack instead.
 
 Suppression: append ``# repolint: allow[<rule-id>]`` to the flagged line.
 
@@ -56,6 +63,9 @@ PICKLE_ALLOWED = ("browser/compile_cache.py", "scenarios/parallel.py")
 
 #: The one module allowed to construct ``Ring`` instances (the interning table).
 RING_MODULE = "core/rings.py"
+
+#: Packages whose tree walkers must be iterative (page depth is author-controlled).
+TREE_WALK_PACKAGES = ("dom", "html", "browser")
 
 #: ``module.attribute`` call chains banned by the determinism rule.
 NONDETERMINISTIC_CALLS = {
@@ -373,6 +383,49 @@ class InternedRingRule(Rule):
         return violations
 
 
+class IterativeTreeWalkRule(Rule):
+    """Tree walkers in the DOM, HTML and browser packages keep explicit stacks."""
+
+    rule_id = "iterative-tree-walk"
+
+    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
+        if not any(package in path.parts for package in TREE_WALK_PACKAGES):
+            return []
+        violations: list[Violation] = []
+        self._check_body(tree.body, path, None, violations)
+        return violations
+
+    def _check_body(self, body: list[ast.stmt], path: Path, class_name: str | None,
+                    violations: list[Violation]) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                self._check_body(node.body, path, node.name, violations)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and self._calls_itself(call.func, node.name, class_name):
+                        owner = f"{class_name}.{node.name}" if class_name else node.name
+                        violations.append(
+                            self._violation(
+                                path,
+                                call,
+                                f"{owner} calls itself; walk the tree with an explicit "
+                                "stack (deep markup overflows the Python stack)",
+                            )
+                        )
+
+    @staticmethod
+    def _calls_itself(func: ast.expr, name: str, class_name: str | None) -> bool:
+        if class_name is None:
+            return isinstance(func, ast.Name) and func.id == name
+        # A method calling a module function of the same name is not recursion.
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == name
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("self", "cls")
+        )
+
+
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
@@ -382,6 +435,7 @@ ALL_RULES: tuple[Rule, ...] = (
     PickleConfinementRule(),
     BoundedRetryRule(),
     InternedRingRule(),
+    IterativeTreeWalkRule(),
 )
 
 

@@ -16,6 +16,7 @@ simple layout engine does, and it is completely deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from repro.dom.document import Document
 from repro.dom.element import Element
@@ -54,7 +55,7 @@ def measure_text(text: str) -> float:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class LayoutBox:
     """One box in the layout tree."""
 
@@ -70,7 +71,12 @@ class LayoutBox:
 
     def box_count(self) -> int:
         """Total number of boxes in this subtree (including this one)."""
-        return 1 + sum(child.box_count() for child in self.children)
+        count = 0
+        stack = [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
 
 @dataclass
@@ -85,7 +91,12 @@ class RenderStats:
 
 
 class Renderer:
-    """Builds and lays out the box tree for a document."""
+    """Builds and lays out the box tree for a document.
+
+    Both passes walk the tree with explicit stacks in document order, so
+    nesting depth costs no Python frames and a deeply nested page renders
+    like any other.  Boxes are counted as they are built.
+    """
 
     def __init__(self, viewport_width: float = DEFAULT_VIEWPORT_WIDTH) -> None:
         self.viewport_width = viewport_width
@@ -95,89 +106,147 @@ class Renderer:
         stats = RenderStats()
         root_element = document.document_element
         root_box = LayoutBox(element_tag="viewport", width=self.viewport_width, is_block=True)
+        stats.boxes = 1  # the viewport box
         if root_element is not None:
-            child_box = self._build_box(root_element, stats)
-            if child_box is not None:
-                root_box.children.append(child_box)
+            self._build_boxes(root_element, root_box, stats)
         height = self._layout(root_box, 0.0, 0.0, self.viewport_width)
         root_box.height = height
         stats.document_height = height
-        stats.boxes = root_box.box_count()
         return root_box, stats
 
     # -- box construction -----------------------------------------------------------
 
-    def _build_box(self, node: Node, stats: RenderStats) -> LayoutBox | None:
-        if node.node_type is NodeType.TEXT:
-            assert isinstance(node, TextNode)
-            text = node.data.strip()
-            if not text:
-                return None
-            stats.text_runs += 1
-            stats.characters += len(text)
-            return LayoutBox(
-                element_tag="#text",
-                is_block=False,
-                text_length=len(text),
-                text_width=measure_text(text),
-            )
-        if not isinstance(node, Element):
-            return None
-        if node.tag_name in NON_RENDERED:
-            stats.skipped_elements += 1
-            return None
-        box = LayoutBox(element_tag=node.tag_name, is_block=node.tag_name in BLOCK_ELEMENTS)
-        for child in node.children:
-            child_box = self._build_box(child, stats)
-            if child_box is not None:
-                box.children.append(child_box)
-        return box
+    def _build_boxes(self, root: Element, root_box: LayoutBox, stats: RenderStats) -> None:
+        """Append the box subtree of ``root`` to ``root_box``.
+
+        Pre-order over the DOM with a stack of child iterators: each
+        rendered node's box is appended to its parent's box when the node
+        is visited, so box order and the counters match a recursive build.
+        Boxes are built with positional arguments (tag, x, y, width,
+        height, is_block, text_length, text_width): keyword calls cost about
+        half as much again per box.
+        """
+        boxes = text_runs = characters = skipped = 0
+        text_type = NodeType.TEXT
+        stack: list[tuple[Iterator[Node], Callable[[LayoutBox], None]]] = []
+        nodes: Iterator[Node] = iter((root,))
+        append = root_box.children.append
+        while True:
+            for node in nodes:
+                if node.node_type is text_type:
+                    assert isinstance(node, TextNode)
+                    text = node.data.strip()
+                    if text:
+                        text_runs += 1
+                        characters += len(text)
+                        boxes += 1
+                        append(LayoutBox(
+                            "#text", 0.0, 0.0, 0.0, 0.0, False, len(text), measure_text(text)
+                        ))
+                    continue
+                if not isinstance(node, Element):
+                    continue
+                tag = node.tag_name
+                if tag in NON_RENDERED:
+                    skipped += 1
+                    continue
+                box = LayoutBox(tag, 0.0, 0.0, 0.0, 0.0, tag in BLOCK_ELEMENTS)
+                boxes += 1
+                append(box)
+                if node.children:
+                    stack.append((nodes, append))
+                    nodes = iter(node.children)
+                    append = box.children.append
+                    break
+            else:
+                if not stack:
+                    break
+                nodes, append = stack.pop()
+        stats.boxes += boxes
+        stats.text_runs += text_runs
+        stats.characters += characters
+        stats.skipped_elements += skipped
 
     # -- layout ------------------------------------------------------------------------
 
-    def _layout(self, box: LayoutBox, x: float, y: float, available_width: float) -> float:
-        """Flow layout: returns the height consumed by ``box``."""
+    def _layout(self, root: LayoutBox, x: float, y: float, available_width: float) -> float:
+        """Flow layout: returns the height consumed by ``root``.
+
+        The box whose children are being placed keeps its flow cursor in
+        locals; descending into a child with children saves them on a stack,
+        and the child's consumed height is folded back in when it finishes.
+        Arithmetic and its order are those of a recursive layout.  A saved
+        frame's last slot is the width the child takes on its line when it
+        is inline, ``None`` when it is a block.
+        """
+        box = root
         box.x = x
         box.y = y
         box.width = available_width if box.is_block else min(available_width, box.text_width)
         if not box.children:
-            if box.element_tag == "#text":
-                # Wrap the text run into as many lines as the width requires.
-                usable = max(available_width, CHAR_WIDTH)
-                lines = max(1, -(-int(box.text_width) // int(usable)))
-                box.height = lines * LINE_HEIGHT
-            else:
-                box.height = LINE_HEIGHT if not box.is_block else 0.0
+            box.height = _leaf_height(box, available_width)
             return box.height
-
-        cursor_y = y
-        cursor_x = x
-        line_height = 0.0
-        total_height = 0.0
-        for child in box.children:
-            if child.is_block:
-                if line_height:
-                    cursor_y += line_height
-                    total_height += line_height
-                    line_height = 0.0
-                    cursor_x = x
-                consumed = self._layout(child, x, cursor_y, available_width)
-                cursor_y += consumed
-                total_height += consumed
+        stack: list[tuple] = []
+        left, avail, children = x, available_width, iter(box.children)
+        cursor_x, cursor_y, line_height, total = x, y, 0.0, 0.0
+        while True:
+            for child in children:
+                if child.is_block:
+                    if line_height:
+                        cursor_y += line_height
+                        total += line_height
+                        line_height = 0.0
+                        cursor_x = left
+                    child_x, child_width, inline_width = left, avail, None
+                    child.width = avail
+                else:
+                    inline_width = max(child.text_width, CHAR_WIDTH)
+                    if cursor_x + inline_width > left + avail and cursor_x > left:
+                        cursor_y += max(line_height, LINE_HEIGHT)
+                        total += max(line_height, LINE_HEIGHT)
+                        cursor_x = left
+                        line_height = 0.0
+                    child_x, child_width = cursor_x, avail - (cursor_x - left)
+                    child.width = min(child_width, child.text_width)
+                child.x = child_x
+                child.y = cursor_y
+                if child.children:
+                    stack.append((box, left, avail, children, cursor_x, cursor_y,
+                                  line_height, total, inline_width))
+                    box, left, avail, children = child, child_x, child_width, iter(child.children)
+                    cursor_x, line_height, total = child_x, 0.0, 0.0
+                    break
+                consumed = child.height = _leaf_height(child, child_width)
+                if inline_width is None:
+                    cursor_y += consumed
+                    total += consumed
+                else:
+                    cursor_x += inline_width
+                    line_height = max(line_height, consumed)
             else:
-                child_width = max(child.text_width, CHAR_WIDTH)
-                if cursor_x + child_width > x + available_width and cursor_x > x:
-                    cursor_y += max(line_height, LINE_HEIGHT)
-                    total_height += max(line_height, LINE_HEIGHT)
-                    cursor_x = x
-                    line_height = 0.0
-                consumed = self._layout(child, cursor_x, cursor_y, available_width - (cursor_x - x))
-                cursor_x += child_width
-                line_height = max(line_height, consumed)
-        if line_height:
-            total_height += line_height
-        box.height = total_height
-        return total_height
+                if line_height:
+                    total += line_height
+                box.height = consumed = total
+                if not stack:
+                    return consumed
+                (box, left, avail, children, cursor_x, cursor_y,
+                 line_height, total, inline_width) = stack.pop()
+                if inline_width is None:
+                    cursor_y += consumed
+                    total += consumed
+                else:
+                    cursor_x += inline_width
+                    line_height = max(line_height, consumed)
+
+
+def _leaf_height(box: LayoutBox, available_width: float) -> float:
+    """Height of a box without children laid out in ``available_width``."""
+    if box.element_tag == "#text":
+        # Wrap the text run into as many lines as the width requires.
+        usable = max(available_width, CHAR_WIDTH)
+        lines = max(1, -(-int(box.text_width) // int(usable)))
+        return lines * LINE_HEIGHT
+    return LINE_HEIGHT if not box.is_block else 0.0
 
 
 def render_document(document: Document, viewport_width: float = DEFAULT_VIEWPORT_WIDTH) -> RenderStats:

@@ -81,7 +81,9 @@ class AuditLog:
 
     Backed by a ``deque(maxlen=capacity)`` so appends stay O(1) even when the
     log is full (list-based eviction was O(n) per append, which showed up in
-    the mediation benchmarks once the log saturated).
+    the mediation benchmarks once the log saturated).  :attr:`evicted`
+    counts the decisions pushed out since the last :meth:`clear`, so a
+    reader can tell a complete log from a truncated one.
     """
 
     def __init__(self, capacity: int = 10_000) -> None:
@@ -89,10 +91,15 @@ class AuditLog:
             raise ValueError("audit log capacity must be positive")
         self._capacity = capacity
         self._entries: deque[AccessDecision] = deque(maxlen=capacity)
+        #: Decisions evicted (oldest first) since the last :meth:`clear`.
+        self.evicted = 0
 
     def append(self, decision: AccessDecision) -> None:
         """Record a decision, evicting the oldest entry when full."""
-        self._entries.append(decision)
+        entries = self._entries
+        if len(entries) == self._capacity:
+            self.evicted += 1
+        entries.append(decision)
 
     @property
     def capacity(self) -> int:
@@ -101,16 +108,25 @@ class AuditLog:
 
     @property
     def entries(self) -> tuple[AccessDecision, ...]:
-        """All retained decisions, oldest first."""
+        """All retained decisions, oldest first.
+
+        Truncated when :attr:`evicted` is non-zero: the oldest decisions are
+        gone.
+        """
         return tuple(self._entries)
 
     def denials(self) -> tuple[AccessDecision, ...]:
-        """Only the denied decisions."""
+        """Only the denied decisions among the retained ones.
+
+        Truncated when :attr:`evicted` is non-zero: denials among the evicted
+        decisions are not listed.
+        """
         return tuple(d for d in self._entries if d.denied)
 
     def clear(self) -> None:
-        """Drop every retained decision."""
+        """Drop every retained decision and zero the eviction count."""
         self._entries.clear()
+        self.evicted = 0
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -160,10 +160,12 @@ class ElementHandle:
         from repro.html.parser import parse_fragment  # local import: avoids cycle
 
         fragment_children = parse_fragment(markup, owner=self._element.owner_document)
-        self._element.replace_children(list(fragment_children))
-        for child in self._element.children:
+        # Label before inserting: no element of the fragment is ever in the
+        # live tree without a security context.
+        for child in fragment_children:
             if isinstance(child, Element):
                 self._api.label_created_subtree(child, parent=self._element)
+        self._element.replace_children(fragment_children)
         return True
 
     def append_child(self, child: "ElementHandle") -> bool:
@@ -372,31 +374,37 @@ class DomApi:
             parent_context = SecurityContext.for_page_default(
                 self.principal.origin, self.rings, f"<{parent.tag_name}>"
             )
-        self._label_recursive(element, parent_context)
+        self._label_subtree(element, parent_context)
 
-    def _label_recursive(self, element: Element, parent_context: SecurityContext) -> None:
-        label = extract_ac_label(element.attributes, self.rings)
-        ring = effective_ring(label.declared_ring, parent_context.ring)
-        # Dynamically created principals are additionally bounded by their
-        # creator: a ring-3 script cannot mint a ring-1 script even inside a
-        # ring-1 container it somehow got write access to.
-        ring = ring.restricted_to(self.principal.ring)
-        if label.acl is not None:
-            acl = label.acl
-        elif self._default_new_element_acl is not None:
-            acl = self._default_new_element_acl
-        else:
-            acl = parent_context.acl
-        context = SecurityContext(
-            origin=parent_context.origin,
-            ring=ring,
-            acl=acl,
-            label=f"dynamic <{element.tag_name}>",
-        )
-        if element.security_context is None:
-            element.assign_security_context(context)
-        for child in element.element_children():
-            self._label_recursive(child, context)
+    def _label_subtree(self, element: Element, parent_context: SecurityContext) -> None:
+        """Label ``element`` and its descendants, pre-order, with an explicit stack."""
+        rings = self.rings
+        principal_ring = self.principal.ring
+        default_acl = self._default_new_element_acl
+        stack = [(element, parent_context)]
+        while stack:
+            element, parent_context = stack.pop()
+            label = extract_ac_label(element.attributes, rings)
+            ring = effective_ring(label.declared_ring, parent_context.ring)
+            # Dynamically created principals are additionally bounded by their
+            # creator: a ring-3 script cannot mint a ring-1 script even inside
+            # a ring-1 container it somehow got write access to.
+            ring = ring.restricted_to(principal_ring)
+            if label.acl is not None:
+                acl = label.acl
+            elif default_acl is not None:
+                acl = default_acl
+            else:
+                acl = parent_context.acl
+            context = SecurityContext(
+                origin=parent_context.origin,
+                ring=ring,
+                acl=acl,
+                label=f"dynamic <{element.tag_name}>",
+            )
+            if element.security_context is None:
+                element.assign_security_context(context)
+            stack.extend((child, context) for child in reversed(element.element_children()))
 
     # -- script-facing API -----------------------------------------------------------------
 

@@ -49,6 +49,24 @@ class Element(Node):
                 self._attributes[str(name).lower()] = str(value)
         self._security_context: SecurityContext | None = None
 
+    @classmethod
+    def _parsed(cls, tag_name: str, attributes: dict[str, str]) -> "Element":
+        """A detached element straight from a start-tag token.
+
+        The tokenizer has already lower-cased the tag and attribute names
+        and decoded the values to strings, so ``__init__``'s per-name
+        normalisation is skipped.  The attribute map is copied: a caller
+        that reuses a token never shares it with the DOM.
+        """
+        element = cls.__new__(cls)
+        element.parent = None
+        element.children = []
+        element.owner_document = None
+        element.tag_name = tag_name
+        element._attributes = dict(attributes)
+        element._security_context = None
+        return element
+
     def _clone_shallow(self) -> "Element":
         clone = super()._clone_shallow()
         clone.tag_name = self.tag_name

@@ -73,6 +73,19 @@ class Node:
         self._note_tree_change()
         return child
 
+    def _append(self, child: "Node") -> "Node":
+        """Append a node the tree builder just created.
+
+        A fresh node has no parent, no subtree and no other owner, and the
+        document's id index is unbuilt while it is being parsed, so none of
+        ``append_child``'s detach, ancestor, adoption or invalidation steps
+        can do anything.
+        """
+        child.parent = self
+        child.owner_document = self.owner_document
+        self.children.append(child)
+        return child
+
     def insert_before(self, new_child: "Node", reference: "Node | None") -> "Node":
         """Insert ``new_child`` immediately before ``reference`` (or append)."""
         if reference is None:

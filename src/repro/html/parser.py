@@ -67,72 +67,69 @@ class TreeBuilder:
     # -- public API -----------------------------------------------------------------
 
     def build(self, tokens: Iterable[Token]) -> Document:
-        """Consume every token and return the finished document."""
+        """Consume every token and return the finished document.
+
+        One loop dispatches on each token's exact type and keeps the node
+        receiving children in a local.  Every node it creates is fresh (no
+        parent, no subtree, owned by no other document), so it is attached
+        with :meth:`Node._append` rather than the checking ``append_child``.
+        """
+        document = self.document
+        stack = self._stack
+        current: Node = stack[-1] if stack else document
+        new_element = Element._parsed
         for token in tokens:
-            self._process(token)
-        return self.document
+            kind = type(token)
+            if kind is TextToken or kind is RawTextToken:
+                if token.data:
+                    current._append(TextNode(token.data))
+            elif kind is StartTagToken:
+                name = token.name
+                if name in _SELF_NESTING_CLOSERS and stack and stack[-1].tag_name == name:
+                    stack.pop()
+                    current = stack[-1] if stack else document
+                element = new_element(name, token.attributes)
+                if not self.uses_escudo and name == "div":
+                    self.uses_escudo = element.is_ac_tag
+                current._append(element)
+                if not (token.self_closing or name in VOID_ELEMENTS):
+                    stack.append(element)
+                    current = element
+            elif kind is EndTagToken:
+                # Find the nearest open element with this tag name; a stray
+                # end tag is ignored.
+                name = token.name
+                index = len(stack) - 1
+                while index >= 0 and stack[index].tag_name != name:
+                    index -= 1
+                if index < 0:
+                    continue
+                candidate = stack[index]
+                if name == "div" and not self._nonce_ok(
+                    candidate.get_attribute(NONCE_ATTRIBUTE),
+                    token.attributes.get(NONCE_ATTRIBUTE),
+                    candidate,
+                ):
+                    # The terminator does not legitimately close this AC tag.
+                    # Per the paper it is ignored outright, so injected content
+                    # stays confined inside the scope it was inserted into.
+                    self._ignored_end_tags += 1
+                    continue
+                # Close the candidate (and anything opened after it).
+                del stack[index:]
+                current = stack[-1] if stack else document
+            elif kind is CommentToken:
+                current._append(CommentNode(token.data))
+            elif kind is DoctypeToken:
+                document.doctype = token.data
+        return document
 
     @property
     def ignored_end_tags(self) -> int:
         """Number of end tags dropped by nonce validation (attack attempts)."""
         return self._ignored_end_tags
 
-    # -- token handling ----------------------------------------------------------------
-
-    def _current(self) -> Node:
-        return self._stack[-1] if self._stack else self.document
-
-    def _process(self, token: Token) -> None:
-        if isinstance(token, DoctypeToken):
-            self.document.doctype = token.data
-        elif isinstance(token, CommentToken):
-            self._current().append_child(CommentNode(token.data))
-        elif isinstance(token, (TextToken, RawTextToken)):
-            if token.data:
-                self._current().append_child(TextNode(token.data))
-        elif isinstance(token, StartTagToken):
-            self._handle_start_tag(token)
-        elif isinstance(token, EndTagToken):
-            self._handle_end_tag(token)
-
-    def _handle_start_tag(self, token: StartTagToken) -> None:
-        name = token.name
-        if name in _SELF_NESTING_CLOSERS and self._stack and self._stack[-1].tag_name == name:
-            self._stack.pop()
-        element = Element(name, token.attributes)
-        element.owner_document = self.document
-        if not self.uses_escudo and element.tag_name == "div":
-            self.uses_escudo = element.is_ac_tag
-        self._current().append_child(element)
-        if token.self_closing or name in VOID_ELEMENTS:
-            return
-        self._stack.append(element)
-
-    def _handle_end_tag(self, token: EndTagToken) -> None:
-        name = token.name
-        if not self._stack:
-            return
-        # Find the nearest open element with this tag name.
-        index = None
-        for i in range(len(self._stack) - 1, -1, -1):
-            if self._stack[i].tag_name == name:
-                index = i
-                break
-        if index is None:
-            return  # Stray end tag: ignored.
-
-        candidate = self._stack[index]
-        if name == "div":
-            opening_nonce = candidate.get_attribute(NONCE_ATTRIBUTE)
-            closing_nonce = token.attributes.get(NONCE_ATTRIBUTE)
-            if not self._nonce_ok(opening_nonce, closing_nonce, candidate):
-                # The terminator does not legitimately close this AC tag.
-                # Per the paper it is ignored outright, so injected content
-                # stays confined inside the scope it was inserted into.
-                self._ignored_end_tags += 1
-                return
-        # Close the candidate (and anything opened after it).
-        del self._stack[index:]
+    # -- nonce validation --------------------------------------------------------------
 
     def _nonce_ok(self, opening: str | None, closing: str | None, element: Element) -> bool:
         if opening is None:
@@ -194,5 +191,5 @@ def parse_fragment(
 
 def _reown(node: Node, owner: Document) -> None:
     node.owner_document = owner
-    for child in node.children:
-        _reown(child, owner)
+    for descendant in node.descendants():
+        descendant.owner_document = owner

@@ -26,55 +26,61 @@ def serialize(node: Node, *, indent: bool = False) -> str:
             pieces.append(f"<!{node.doctype}>")
             if indent:
                 pieces.append("\n")
-        for child in node.children:
-            _serialize_node(child, pieces, 0, indent)
+        _serialize_nodes(node.children, pieces, 0, indent)
     else:
-        _serialize_node(node, pieces, 0, indent)
+        _serialize_nodes([node], pieces, 0, indent)
     return "".join(pieces)
 
 
 def serialize_children(node: Node, *, indent: bool = False) -> str:
     """Serialise only the children of ``node`` (the ``innerHTML`` view)."""
     pieces: list[str] = []
-    for child in node.children:
-        _serialize_node(child, pieces, 0, indent)
+    _serialize_nodes(node.children, pieces, 0, indent)
     return "".join(pieces)
 
 
-def _serialize_node(node: Node, pieces: list[str], depth: int, indent: bool) -> None:
-    pad = "  " * depth if indent else ""
+def _serialize_nodes(nodes: list[Node], pieces: list[str], depth: int, indent: bool) -> None:
+    """Append the markup of ``nodes`` and their subtrees to ``pieces``.
+
+    Explicit work stack in document order: an entry is a ``(node, depth)``
+    still to open or an element's closing-tag text, pushed beneath its
+    children, so nesting depth costs no Python frames.
+    """
     newline = "\n" if indent else ""
-    if isinstance(node, TextNode):
-        parent = node.parent
-        if isinstance(parent, Element) and parent.tag_name in RAW_TEXT_ELEMENTS:
-            text = node.data
-        else:
-            text = escape_text(node.data)
-        if indent:
-            stripped = text.strip()
-            if not stripped:
-                return
-            pieces.append(f"{pad}{stripped}{newline}")
-        else:
-            pieces.append(text)
-        return
-    if isinstance(node, CommentNode):
-        pieces.append(f"{pad}<!--{node.data}-->{newline}")
-        return
-    if isinstance(node, Element):
-        attrs = _serialize_attributes(node)
-        open_tag = f"<{node.tag_name}{attrs}>"
-        if node.tag_name in VOID_ELEMENTS and not node.children:
-            pieces.append(f"{pad}{open_tag}{newline}")
-            return
-        pieces.append(f"{pad}{open_tag}{newline}")
-        for child in node.children:
-            _serialize_node(child, pieces, depth + 1, indent)
-        pieces.append(f"{pad}</{node.tag_name}>{newline}")
-        return
-    # Unknown node types (e.g. a Document nested oddly) serialise their children.
-    for child in node.children:
-        _serialize_node(child, pieces, depth, indent)
+    stack: list[tuple[Node, int] | str] = [(child, depth) for child in reversed(nodes)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, depth = item
+        pad = "  " * depth if indent else ""
+        if isinstance(node, TextNode):
+            parent = node.parent
+            if isinstance(parent, Element) and parent.tag_name in RAW_TEXT_ELEMENTS:
+                text = node.data
+            else:
+                text = escape_text(node.data)
+            if indent:
+                stripped = text.strip()
+                if stripped:
+                    pieces.append(f"{pad}{stripped}{newline}")
+            else:
+                pieces.append(text)
+            continue
+        if isinstance(node, CommentNode):
+            pieces.append(f"{pad}<!--{node.data}-->{newline}")
+            continue
+        if isinstance(node, Element):
+            attrs = _serialize_attributes(node)
+            pieces.append(f"{pad}<{node.tag_name}{attrs}>{newline}")
+            if node.tag_name in VOID_ELEMENTS and not node.children:
+                continue
+            stack.append(f"{pad}</{node.tag_name}>{newline}")
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+            continue
+        # Unknown node types (e.g. a Document nested oddly) serialise their children.
+        stack.extend((child, depth) for child in reversed(node.children))
 
 
 def _serialize_attributes(element: Element) -> str:

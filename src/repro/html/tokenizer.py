@@ -23,12 +23,12 @@ from repro.dom.element import RAW_TEXT_ELEMENTS
 from .entities import decode_entities
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """Base class for every token."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StartTagToken(Token):
     """``<name attr=value ...>`` or ``<name ... />``."""
 
@@ -37,7 +37,7 @@ class StartTagToken(Token):
     self_closing: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class EndTagToken(Token):
     """``</name>`` -- possibly with attributes (``</div nonce=...>``)."""
 
@@ -45,28 +45,28 @@ class EndTagToken(Token):
     attributes: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class TextToken(Token):
     """A run of character data (entities already decoded)."""
 
     data: str
 
 
-@dataclass
+@dataclass(slots=True)
 class RawTextToken(Token):
     """Content of a raw-text element (``script`` bodies are not entity-decoded)."""
 
     data: str
 
 
-@dataclass
+@dataclass(slots=True)
 class CommentToken(Token):
     """``<!-- ... -->``."""
 
     data: str
 
 
-@dataclass
+@dataclass(slots=True)
 class DoctypeToken(Token):
     """``<!DOCTYPE ...>``."""
 
@@ -74,149 +74,131 @@ class DoctypeToken(Token):
 
 
 def tokenize(markup: str) -> Iterator[Token]:
-    """Yield tokens for ``markup``."""
-    return _Tokenizer(markup).tokens()
+    """Yield tokens for ``markup``.
 
-
-class _Tokenizer:
-    """Single-pass scanner over the markup string."""
-
-    def __init__(self, markup: str) -> None:
-        self._text = markup
-        self._pos = 0
-        self._length = len(markup)
-        # Lazily lowered copy for raw-text end-tag searches: lowering the
-        # whole document once beats re-lowering it per <script>/<title>.
-        self._lowered: str | None = None
-
-    def tokens(self) -> Iterator[Token]:
-        while self._pos < self._length:
-            lt = self._text.find("<", self._pos)
-            if lt == -1:
-                yield TextToken(decode_entities(self._text[self._pos :]))
-                break
-            if lt > self._pos:
-                yield TextToken(decode_entities(self._text[self._pos : lt]))
-                self._pos = lt
-            token = self._consume_markup()
-            if token is None:
-                # Lone '<' that does not open anything: emit as text.
-                yield TextToken("<")
-                self._pos += 1
-                continue
-            yield token
-            if isinstance(token, StartTagToken) and not token.self_closing \
-                    and token.name in RAW_TEXT_ELEMENTS:
-                raw = self._consume_raw_text(token.name)
-                if raw is not None:
-                    yield raw
-
-    # -- markup constructs ---------------------------------------------------------
-
-    def _consume_markup(self) -> Token | None:
-        text = self._text
-        pos = self._pos
-        if text.startswith("<!--", pos):
-            end = text.find("-->", pos + 4)
+    One generator frame scans the whole string: the cursor, the text and its
+    bound ``find``/``startswith`` are locals, and each construct (comment,
+    doctype, tag with its attributes, raw-text body) is scanned inline.  A
+    scanner with one method per construct spent about a third of its time
+    in the calls and in ``self._pos`` reads and writes.
+    """
+    text = markup
+    length = len(text)
+    find = text.find
+    startswith = text.startswith
+    raw_text_elements = RAW_TEXT_ELEMENTS
+    # Lazily lowered copy for raw-text end-tag searches: lowering the whole
+    # document once beats re-lowering it per <script>/<title>.
+    lowered: str | None = None
+    pos = 0
+    while pos < length:
+        lt = find("<", pos)
+        if lt == -1:
+            yield TextToken(decode_entities(text[pos:]))
+            return
+        if lt > pos:
+            yield TextToken(decode_entities(text[pos:lt]))
+            pos = lt
+        # -- comment and doctype ------------------------------------------------
+        if startswith("<!--", pos):
+            end = find("-->", pos + 4)
             if end == -1:
-                data = text[pos + 4 :]
-                self._pos = self._length
-            else:
-                data = text[pos + 4 : end]
-                self._pos = end + 3
-            return CommentToken(data)
-        if text.startswith("<!", pos):
-            end = text.find(">", pos + 2)
+                yield CommentToken(text[pos + 4 :])
+                return
+            yield CommentToken(text[pos + 4 : end])
+            pos = end + 3
+            continue
+        if startswith("<!", pos):
+            end = find(">", pos + 2)
             if end == -1:
-                self._pos = self._length
-                return DoctypeToken(text[pos + 2 :].strip())
-            self._pos = end + 1
-            return DoctypeToken(text[pos + 2 : end].strip())
-        if text.startswith("</", pos):
-            return self._consume_tag(pos + 2, end_tag=True)
-        if pos + 1 < self._length and (text[pos + 1].isalpha()):
-            return self._consume_tag(pos + 1, end_tag=False)
-        return None
-
-    def _consume_tag(self, name_start: int, *, end_tag: bool) -> Token | None:
-        text = self._text
-        pos = name_start
-        while pos < self._length and (text[pos].isalnum() or text[pos] in "-_:"):
+                yield DoctypeToken(text[pos + 2 :].strip())
+                return
+            yield DoctypeToken(text[pos + 2 : end].strip())
+            pos = end + 1
+            continue
+        # -- tag name ---------------------------------------------------------------
+        if startswith("</", pos):
+            end_tag = True
+            cursor = name_start = pos + 2
+        elif pos + 1 < length and text[pos + 1].isalpha():
+            end_tag = False
+            cursor = name_start = pos + 1
+        else:
+            # Lone '<' that does not open anything: emit as text.
+            yield TextToken("<")
             pos += 1
-        name = text[name_start:pos].lower()
+            continue
+        while cursor < length and ((ch := text[cursor]).isalnum() or ch in "-_:"):
+            cursor += 1
+        name = text[name_start:cursor].lower()
         if not name:
-            return None
-        attributes, pos, self_closing = self._consume_attributes(pos)
-        self._pos = pos
-        if end_tag:
-            return EndTagToken(name=name, attributes=attributes)
-        return StartTagToken(name=name, attributes=attributes, self_closing=self_closing)
-
-    def _consume_attributes(self, pos: int) -> tuple[dict[str, str], int, bool]:
-        text = self._text
+            # ``</`` followed by no name: the '<' is text too.
+            yield TextToken("<")
+            pos += 1
+            continue
+        # -- attributes ---------------------------------------------------------------
         attributes: dict[str, str] = {}
         self_closing = False
-        while pos < self._length:
-            while pos < self._length and text[pos].isspace():
-                pos += 1
-            if pos >= self._length:
+        while cursor < length:
+            while cursor < length and (ch := text[cursor]).isspace():
+                cursor += 1
+            if cursor >= length:
                 break
-            ch = text[pos]
             if ch == ">":
-                pos += 1
-                return attributes, pos, self_closing
+                cursor += 1
+                break
             if ch == "/":
-                pos += 1
-                if pos < self._length and text[pos] == ">":
-                    return attributes, pos + 1, True
+                cursor += 1
+                if cursor < length and text[cursor] == ">":
+                    cursor += 1
+                    self_closing = True
+                    break
                 continue
-            name_start = pos
-            while pos < self._length and text[pos] not in "=/> \t\r\n":
-                pos += 1
-            attr_name = text[name_start:pos].lower()
-            while pos < self._length and text[pos].isspace():
-                pos += 1
+            attr_start = cursor
+            while cursor < length and text[cursor] not in "=/> \t\r\n":
+                cursor += 1
+            attr_name = text[attr_start:cursor].lower()
+            while cursor < length and text[cursor].isspace():
+                cursor += 1
             value = ""
-            if pos < self._length and text[pos] == "=":
-                pos += 1
-                while pos < self._length and text[pos].isspace():
-                    pos += 1
-                if pos < self._length and text[pos] in "\"'":
-                    quote = text[pos]
-                    pos += 1
+            if cursor < length and text[cursor] == "=":
+                cursor += 1
+                while cursor < length and text[cursor].isspace():
+                    cursor += 1
+                if cursor < length and text[cursor] in "\"'":
+                    quote = text[cursor]
+                    cursor += 1
                     # find() scans the quoted value at C speed; attribute
                     # values (nonces, ids, rings) are the long spans here.
-                    close = text.find(quote, pos)
+                    close = find(quote, cursor)
                     if close == -1:
-                        value = text[pos:]
-                        pos = self._length
+                        value = text[cursor:]
+                        cursor = length
                     else:
-                        value = text[pos:close]
-                        pos = close + 1
+                        value = text[cursor:close]
+                        cursor = close + 1
                 else:
-                    value_start = pos
-                    while pos < self._length and text[pos] not in "> \t\r\n":
-                        pos += 1
-                    value = text[value_start:pos]
+                    value_start = cursor
+                    while cursor < length and text[cursor] not in "> \t\r\n":
+                        cursor += 1
+                    value = text[value_start:cursor]
             if attr_name:
                 attributes[attr_name] = decode_entities(value)
-        return attributes, pos, self_closing
-
-    # -- raw text ----------------------------------------------------------------------
-
-    def _consume_raw_text(self, tag_name: str) -> RawTextToken | None:
-        """Swallow content up to (not including) ``</tag_name``."""
-        lowered = self._lowered
-        if lowered is None:
-            lowered = self._lowered = self._text.lower()
-        marker = f"</{tag_name}"
-        end = lowered.find(marker, self._pos)
-        if end == -1:
-            data = self._text[self._pos :]
-            self._pos = self._length
-        else:
-            data = self._text[self._pos : end]
-            self._pos = end
-        if data == "":
-            return None
-        return RawTextToken(data)
+        pos = cursor
+        if end_tag:
+            yield EndTagToken(name, attributes)
+            continue
+        yield StartTagToken(name, attributes, self_closing)
+        # -- raw text: swallow content up to (not including) ``</name`` ----------
+        if not self_closing and name in raw_text_elements:
+            if lowered is None:
+                lowered = text.lower()
+            end = lowered.find("</" + name, pos)
+            if end == -1:
+                data = text[pos:]
+                pos = length
+            else:
+                data = text[pos:end]
+                pos = end
+            if data:
+                yield RawTextToken(data)

@@ -47,13 +47,30 @@ class WidgetCache:
 '''
 
 
+_BAD_WALKER = '''\
+def depth(node):
+    return 1 + max((depth(child) for child in node.children), default=0)
+
+
+class Walker:
+    def count(self, node):
+        return 1 + sum(self.count(child) for child in node.children)
+
+    def query_selector(self, selector):
+        return query_selector(self.root, selector)  # the module function: no recursion
+'''
+
+
 @pytest.fixture()
 def bad_tree(tmp_path):
+    """A source tree seeded with one violation of every rule."""
     webapps = tmp_path / "webapps"
     webapps.mkdir()
-    target = webapps / "bad.py"
-    target.write_text(_BAD_WEBAPP, encoding="utf-8")
-    return target
+    (webapps / "bad.py").write_text(_BAD_WEBAPP, encoding="utf-8")
+    browser = tmp_path / "browser"
+    browser.mkdir()
+    (browser / "walk.py").write_text(_BAD_WALKER, encoding="utf-8")
+    return tmp_path
 
 
 def test_shipped_tree_is_lint_clean():
@@ -78,7 +95,7 @@ def test_every_rule_fires_on_seeded_fixture(bad_tree):
 
 
 def test_main_exits_one_on_violations(bad_tree):
-    assert main([str(bad_tree.parent)]) == 1
+    assert main([str(bad_tree)]) == 1
 
 
 def test_violations_carry_position_and_render(bad_tree):
@@ -91,11 +108,12 @@ def test_violations_carry_position_and_render(bad_tree):
 
 
 def test_suppression_comment_silences_one_line(bad_tree):
-    source = bad_tree.read_text(encoding="utf-8").replace(
+    target = bad_tree / "webapps" / "bad.py"
+    source = target.read_text(encoding="utf-8").replace(
         "return pickle.loads(key) or time.time()",
         "return pickle.loads(key) or time.time()  # repolint: allow[determinism]",
     )
-    bad_tree.write_text(source, encoding="utf-8")
+    target.write_text(source, encoding="utf-8")
     fired = {violation.rule for violation in lint_paths([bad_tree])}
     assert "determinism" not in fired
     # Only the named rule is silenced; the others still fire on their lines.
@@ -120,4 +138,20 @@ def test_interned_ring_rule_allows_only_the_rings_module(tmp_path):
     violations = lint_paths([tmp_path])
     assert [(Path(v.path).name, v.line, v.rule) for v in violations] == [
         ("labeler.py", 2, "interned-ring")
+    ]
+
+
+def test_iterative_tree_walk_rule_flags_self_calls_in_tree_packages(tmp_path):
+    for package in ("dom", "html", "browser", "webapps"):
+        target = tmp_path / package / "walk.py"
+        target.parent.mkdir()
+        target.write_text(_BAD_WALKER, encoding="utf-8")
+    violations = lint_paths([tmp_path])
+    # The bare-name call in ``depth`` and the ``self.count`` call fire in each
+    # tree package; ``query_selector`` calling the module function does not,
+    # and ``webapps`` is outside the rule's scope.
+    assert sorted((Path(v.path).parent.name, v.line, v.rule) for v in violations) == [
+        (package, line, "iterative-tree-walk")
+        for package in ("browser", "dom", "html")
+        for line in (2, 7)
     ]

@@ -115,6 +115,33 @@ class TestAuditLog:
             monitor.authorize(make_context(origin, 0), make_context(origin, ring), "read")
         assert len(monitor.audit) == 3
 
+    def test_eviction_is_counted(self, origin):
+        log = AuditLog(capacity=3)
+        monitor = ReferenceMonitor()
+        decisions = [
+            monitor.authorize(make_context(origin, 0), make_context(origin, ring), "read")
+            for ring in (0, 1, 2, 3, 0)
+        ]
+        for decision in decisions:
+            log.append(decision)
+        assert log.evicted == 2
+        assert log.entries == tuple(decisions[2:])
+
+    def test_eviction_count_resets_with_the_log(self, origin):
+        monitor = ReferenceMonitor(audit_capacity=2)
+        for ring in (0, 1, 2):
+            monitor.authorize(make_context(origin, 0), make_context(origin, ring), "read")
+        assert monitor.audit.evicted == 1
+        monitor.reset()
+        assert monitor.audit.evicted == 0 and len(monitor.audit) == 0
+        for ring in (0, 1):
+            monitor.authorize(make_context(origin, 0), make_context(origin, ring), "read")
+        assert monitor.audit.evicted == 0
+        monitor.audit.append(monitor.audit.entries[0])
+        assert monitor.audit.evicted == 1
+        monitor.audit.clear()
+        assert monitor.audit.evicted == 0
+
     def test_denials_filter(self, origin):
         monitor = ReferenceMonitor()
         monitor.authorize(make_context(origin, 0), make_context(origin, 3), "read")

@@ -135,3 +135,26 @@ class TestFragments:
 
     def test_empty_fragment(self):
         assert parse_fragment("") == []
+
+
+class TestBuilderOwnership:
+    def test_reused_tokens_never_alias_dom_attributes(self):
+        from repro.html.parser import TreeBuilder
+        from repro.html.tokenizer import StartTagToken
+
+        token = StartTagToken("div", {"id": "a", "class": "post"})
+        document = TreeBuilder().build([token, token])
+        first = document.children[0]
+        second = first.children[0]
+        token.attributes["id"] = "changed"
+        first.set_attribute("class", "mutated")
+        assert first.attributes == {"id": "a", "class": "mutated"}
+        assert second.attributes == {"id": "a", "class": "post"}
+
+    def test_built_nodes_are_linked_and_owned(self):
+        document = parse_document("<html><body><p>text<!-- c --></p></body></html>")
+        for node in document.descendants():
+            assert node.owner_document is document
+            assert node in node.parent.children
+        paragraph = document.get_elements_by_tag_name("p")[0]
+        assert [type(child) for child in paragraph.children] == [TextNode, CommentNode]
