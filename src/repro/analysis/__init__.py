@@ -8,8 +8,8 @@ Two independent layers share this package:
   and checks the soundness contract *dynamic accesses ⊆ static prediction*
   per script digest.
 - :mod:`repro.analysis.repolint` -- a Python-``ast`` linter that turns the
-  repo's dynamic invariants (touch-state honesty, cache ``reset_counters``,
-  determinism, pickle confinement) into static CI gates.
+  repo's dynamic invariants (touch-state honesty, determinism, no pickle)
+  into static CI gates.
 """
 
 from .soundness import (

@@ -1,10 +1,9 @@
 """Repo-invariant linter: static CI gates for the invariants tests enforce.
 
-PRs 5-8 added *dynamic* checks for a family of repo invariants -- cache
-snapshots must reset telemetry, webapp mutations must advance the state
-generation so response memos invalidate, scenario runs must be
-deterministic, warm-state pickling must stay confined to the two modules
-built for it.  This module turns them into *static* rules over the Python
+Tests enforce a family of repo invariants dynamically -- webapp mutations
+must advance the state generation so response memos invalidate, scenario
+runs must be deterministic, nothing may deserialize with pickle.  This
+module turns them into *static* rules over the Python
 AST so CI rejects a violating diff before any scenario runs.
 
 Rule catalogue (ids are what suppressions name):
@@ -16,10 +15,6 @@ Rule catalogue (ids are what suppressions name):
     ``bump``) or mutate the session tier (``login``/``logout``/
     ``sessions.create``/``sessions.destroy``).  A mutator that does neither
     serves stale memoised responses.
-``cache-reset-counters``
-    Every class named ``*Cache`` must define ``reset_counters`` -- the
-    warm-snapshot protocol calls it on every shipped cache so per-worker
-    telemetry starts cold.
 ``determinism``
     No ``time.time`` / ``time.time_ns`` / ``random.random`` /
     ``datetime.now`` / ``datetime.utcnow`` calls inside ``src/repro``:
@@ -29,9 +24,12 @@ Rule catalogue (ids are what suppressions name):
     ``except:`` swallows ``BudgetExceeded`` and ``AccessDenied`` signals
     the engine relies on; name the exception type.
 ``pickle-confinement``
-    ``pickle`` imports are allowed only in the warm-state modules
-    (``browser/compile_cache.py``, ``scenarios/parallel.py``); anywhere
-    else it is an eval-equivalent deserialization surface.
+    No ``pickle`` import outside the modules listed in ``PICKLE_ALLOWED``
+    (none): it is an eval-equivalent deserialization surface.
+``bounded-retry``
+    No ``while True`` loop whose body names retries, attempts or backoff:
+    retry loops are written ``for attempt in range(N)`` so the cap is
+    explicit.
 ``interned-ring``
     No ``Ring(...)`` call outside ``core/rings.py``: rings are interned, and
     code elsewhere gets them through ``as_ring`` or a ``RingSet``, so page
@@ -58,8 +56,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Modules allowed to import pickle (warm-state shipping only).
-PICKLE_ALLOWED = ("browser/compile_cache.py", "scenarios/parallel.py")
+#: Modules allowed to import pickle (none: nothing in the engine deserializes).
+PICKLE_ALLOWED: tuple[str, ...] = ()
 
 #: The one module allowed to construct ``Ring`` instances (the interning table).
 RING_MODULE = "core/rings.py"
@@ -204,35 +202,6 @@ class WebappsTouchStateRule(Rule):
         return False
 
 
-class CacheResetCountersRule(Rule):
-    """``*Cache`` classes must implement the warm-snapshot telemetry hook."""
-
-    rule_id = "cache-reset-counters"
-
-    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
-        violations: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not node.name.endswith("Cache"):
-                continue
-            has_hook = any(
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name == "reset_counters"
-                for item in node.body
-            )
-            if not has_hook:
-                violations.append(
-                    self._violation(
-                        path,
-                        node,
-                        f"cache class {node.name} does not define reset_counters() "
-                        "-- warm-state restore cannot start its telemetry cold",
-                    )
-                )
-        return violations
-
-
 class DeterminismRule(Rule):
     """No wall-clock or unseeded randomness inside the engine."""
 
@@ -273,7 +242,7 @@ class NoBareExceptRule(Rule):
 
 
 class PickleConfinementRule(Rule):
-    """pickle stays inside the warm-state modules built for it."""
+    """No pickle imports outside ``PICKLE_ALLOWED``."""
 
     rule_id = "pickle-confinement"
 
@@ -291,12 +260,12 @@ class PickleConfinementRule(Rule):
                 if node.module and node.module.split(".")[0] == "pickle":
                     imported = "from pickle import ..."
             if imported:
-                allowed = ", ".join(PICKLE_ALLOWED)
                 violations.append(
                     self._violation(
                         path,
                         node,
-                        f"{imported} outside the warm-state modules ({allowed})",
+                        f"{imported}: pickle is an eval-equivalent deserialization "
+                        "surface; pass plain data instead",
                     )
                 )
         return violations
@@ -429,7 +398,6 @@ class IterativeTreeWalkRule(Rule):
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
-    CacheResetCountersRule(),
     DeterminismRule(),
     NoBareExceptRule(),
     PickleConfinementRule(),

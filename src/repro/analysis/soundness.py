@@ -110,8 +110,8 @@ class StaticScreen:
     """Per-suite accumulator pairing static reports with dynamic audits."""
 
     def __init__(self, reports: ScriptReportCache | None = None) -> None:
-        #: Memoised analysis tier; shared with warm-state snapshots when the
-        #: caller passes ``CompileCaches.reports``.
+        #: Memoised analysis tier; shared with the worker's cache stack when
+        #: the caller passes ``CompileCaches.reports``.
         self.reports = reports if reports is not None else ScriptReportCache()
         #: digest -> dynamic record, for every script ever screened.
         self._records: dict[str, _ScriptRecord] = {}

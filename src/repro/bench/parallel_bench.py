@@ -16,10 +16,6 @@ lands in ``benchmarks/results/BENCH_parallel_scenarios.json``:
   drags this down; the steal queue keeps it near 1.0 on any hardware
   (unlike raw speedup, it does not depend on physical core count),
 * ``parity_with_serial`` (merged report equality),
-* a ``cold_start`` section comparing warm-shipped workers against the
-  old per-worker-warm-up baseline: wall clock plus each side's *compile
-  misses* (template + AST + bytecode cache misses summed over workers --
-  a deterministic measure of cold-start work, immune to timing noise),
 * an ``efficiency`` section: a larger dedicated run backing the
   perf-smoke floor of >= 0.8 scheduling efficiency at 4 workers,
 
@@ -46,27 +42,12 @@ DEFAULT_WORKER_COUNTS = (1, 2, 4)
 SCHEDULING_EFFICIENCY_FLOOR = 0.8
 
 #: Scenario count of the dedicated efficiency run -- large enough that the
-#: pool's fixed startup cost (fork + warm-state restore) is amortised the
+#: pool's fixed startup cost (fork + per-worker warm-up) is amortised the
 #: way a production-size run would amortise it.
 EFFICIENCY_COUNT = 160
 
 #: Worker count the efficiency floor is asserted at.
 EFFICIENCY_WORKERS = 4
-
-
-def _compile_misses(suite) -> int:
-    """Total compile-tier misses (templates + ASTs + bytecode) over all shards.
-
-    The deterministic cold-start metric: a warm-shipped worker finds the
-    parent's entries and misses (almost) nothing; a cold worker re-parses
-    every template and script for itself, once per worker.
-    """
-    total = 0
-    for stat in suite.shard_stats:
-        layers = stat.get("compile_cache") or {}
-        for layer in ("templates", "scripts", "code"):
-            total += (layers.get(layer) or {}).get("misses", 0)
-    return total
 
 
 def scheduling_efficiency(suite) -> float:
@@ -115,7 +96,6 @@ def measure_parallel_scenarios(
                 ),
                 "scheduling_efficiency": scheduling_efficiency(suite),
                 "steal_chunk": suite.steal_chunk,
-                "warm_ship": suite.warm_ship,
                 "per_worker_chunks_stolen": [
                     stat["chunks_stolen"] for stat in suite.shard_stats
                 ],
@@ -128,38 +108,6 @@ def measure_parallel_scenarios(
                 ],
             }
         )
-
-    # Cold-start amortization: warm-shipped workers vs the old per-worker
-    # warm-up, at the sweep's widest worker count.
-    cold_workers = max(worker_counts)
-    warm = run_suite_parallel(
-        seed=seed,
-        count=count,
-        models=models,
-        attack_ratio=attack_ratio,
-        workers=cold_workers,
-        persist_failures=False,
-        warm_ship=True,
-    )
-    cold = run_suite_parallel(
-        seed=seed,
-        count=count,
-        models=models,
-        attack_ratio=attack_ratio,
-        workers=cold_workers,
-        persist_failures=False,
-        warm_ship=False,
-    )
-    cold_start = {
-        "workers": cold_workers,
-        "parity": warm.parity_dict() == cold.parity_dict(),
-        "warm_ship_duration_s": warm.duration_s,
-        "cold_worker_duration_s": cold.duration_s,
-        "warm_ship_scenarios_per_second": warm.scenarios_per_second,
-        "cold_worker_scenarios_per_second": cold.scenarios_per_second,
-        "warm_ship_compile_misses": _compile_misses(warm),
-        "cold_worker_compile_misses": _compile_misses(cold),
-    }
 
     # Dedicated efficiency run: big enough to amortise pool startup, floor
     # asserted by the bench test and the CI gate.
@@ -196,7 +144,6 @@ def measure_parallel_scenarios(
             "cache_hit_rate": serial.cache_hit_rate,
         },
         "workers": rows,
-        "cold_start": cold_start,
         "efficiency": efficiency,
     }
 
@@ -217,16 +164,6 @@ def format_parallel_report(payload: dict) -> str:
             f"sched eff {row['scheduling_efficiency'] * 100.0:.0f}%) | "
             f"parity={'ok' if row['parity_with_serial'] else 'BROKEN'} | "
             f"chunks stolen: {steals} | per-worker cache hit rate: {hit_rates}"
-        )
-    cold = payload.get("cold_start")
-    if cold:
-        lines.append(
-            f"  cold start @ {cold['workers']} workers: warm-ship "
-            f"{cold['warm_ship_compile_misses']} compile misses / "
-            f"{cold['warm_ship_duration_s']:.2f}s vs cold "
-            f"{cold['cold_worker_compile_misses']} misses / "
-            f"{cold['cold_worker_duration_s']:.2f}s | "
-            f"parity={'ok' if cold['parity'] else 'BROKEN'}"
         )
     eff = payload.get("efficiency")
     if eff:

@@ -74,13 +74,10 @@ class Browser:
         enforce_scoping: bool = True,
         interleave_seed: int | None = None,
         caches: CompileCaches | None = None,
-        script_engine: str = "vm",
         static_screen=None,
     ) -> None:
         if model not in ("escudo", "sop", "same-origin"):
             raise ValueError(f"unknown protection model {model!r}")
-        if script_engine not in ("vm", "walker"):
-            raise ValueError(f"unknown script engine {script_engine!r}")
         self.network = network
         self.model = "sop" if model in ("sop", "same-origin") else "escudo"
         self.run_scripts = run_scripts
@@ -98,9 +95,6 @@ class Browser:
         # e.g. all the actors of one scenario worker -- may share one stack;
         # warm loads are observably identical to cold ones.
         self.caches = caches
-        # "vm" (bytecode + inline caches, default) or "walker" (reference
-        # AST interpreter, selectable for differential parity runs).
-        self.script_engine = script_engine
         # Optional StaticScreen (repro.analysis.soundness): every loaded
         # page's monitor reports its decisions to the screen, and every
         # executed script is statically analyzed, so the soundness oracle
@@ -173,7 +167,6 @@ class Browser:
             max_steps=self.max_script_steps,
             ast_cache=self.caches.scripts if self.caches is not None else None,
             code_cache=self.caches.code if self.caches is not None else None,
-            engine=self.script_engine,
             screen=self.static_screen,
         )
         events = UiEventLayer(page, runtime)

@@ -19,8 +19,11 @@ through the scenario runner, across whole scenarios):
   labelling *and* layout.  The pristine trees are never handed out -- every
   consumer gets an aliasing-free clone, so page mutations cannot poison the
   cache or leak into sibling loads.
-* :class:`~repro.scripting.cache.ScriptAstCache` -- the MiniScript front end
-  memoised on source digest (re-exported here as part of the stack).
+* :class:`~repro.scripting.cache.ScriptAstCache`,
+  :class:`~repro.scripting.cache.ScriptCodeCache` and
+  :class:`~repro.scripting.cache.ScriptReportCache` -- the MiniScript front
+  end, its bytecode and its static-analysis report, each memoised on the
+  source digest.
 * A shared :class:`~repro.core.cache.DecisionCache` -- pages constructed
   through the stack share one decision cache, so mediation verdicts survive
   page (and scenario) boundaries.  Correctness is inherited from the
@@ -28,36 +31,24 @@ through the scenario runner, across whole scenarios):
   token, and any policy swap or in-place relabel bumps the generation,
   dropping every entry.
 
-:class:`CompileCaches` bundles the three, which is what one scenario worker
-carries for its whole lifetime.
-
-The stack is also *shippable*: :func:`dump_warm_state` serialises a warmed
-stack (plus the owning runner's nonce secret and warmed-app set) into one
-opaque bytes payload, and :func:`load_warm_state` rebuilds it in another
-process -- so N parallel workers can all start from the one warm-up the
-parent paid, instead of each paying its own cold start.  Restoring resets
-the hit/miss telemetry (per-worker rates then describe per-worker traffic)
-and reserves the policy-token range the snapshot's shared policy instances
-already occupy, so locally built policies in a ``spawn`` worker can never
-collide with shipped ones in the shared decision cache's keys.
+:class:`CompileCaches` bundles the five tiers, which is what one scenario
+worker carries for its whole lifetime.  Every worker process builds and
+warms its own stack; nothing in it crosses a process boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.cache import DecisionCache
 from repro.core.config import PageConfiguration
 from repro.core.nonce import NonceMismatch, NonceValidator
 from repro.core.origin import Origin
-from repro.core.policy import reserve_policy_tokens
 from repro.dom.document import Document
 from repro.html.parser import TreeBuilder
 from repro.html.tokenizer import tokenize
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache, ScriptReportCache
+from repro.scripting.cache import BoundedCache, ScriptAstCache, ScriptCodeCache, ScriptReportCache
 
 from .labeler import LabelingStats, PageLabeler
 from .renderer import Renderer, RenderStats
@@ -121,16 +112,11 @@ class CachedTemplate:
         return validator
 
 
-class TemplateCache:
+class TemplateCache(BoundedCache):
     """Bounded LRU of :class:`CachedTemplate` keyed by body digest."""
 
-    def __init__(self, maxsize: int = DEFAULT_TEMPLATE_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("template cache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, CachedTemplate]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+    kind = "template"
+    default_maxsize = DEFAULT_TEMPLATE_CACHE_SIZE
 
     # -- the compile pipeline ----------------------------------------------------------
 
@@ -163,9 +149,7 @@ class TemplateCache:
                 (m.expected, m.found, m.context) for m in validator.mismatches
             ),
         )
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = cached
+        self._store(key, cached)
         return cached
 
     def labeled_tree(
@@ -222,36 +206,6 @@ class TemplateCache:
             skipped_elements=stats.skipped_elements,
         )
 
-    # -- introspection -----------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every template.
-
-        The warm-snapshot restore path calls this so a worker's hit rate
-        describes the worker's own traffic, not the parent's warm-up.
-        """
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of body parses served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _copy_labeling_stats(stats: LabelingStats) -> LabelingStats:
     return LabelingStats(
@@ -264,7 +218,7 @@ def _copy_labeling_stats(stats: LabelingStats) -> LabelingStats:
 
 @dataclass
 class CompileCaches:
-    """The per-worker cache stack: templates + script ASTs + bytecode + decisions."""
+    """The per-worker cache stack: templates, script ASTs, bytecode, reports, decisions."""
 
     templates: TemplateCache
     scripts: ScriptAstCache
@@ -274,12 +228,11 @@ class CompileCaches:
     #: *instance*; sharing the instance is what lets verdicts cached by one
     #: page serve every later page enforcing the same model.
     policies: dict = field(default_factory=dict)
-    #: Compiled-bytecode tier below the AST cache (used by the VM engine);
-    #: a warm source goes digest -> CodeObject with no front end at all.
+    #: Compiled-bytecode tier below the AST cache; a warm source goes
+    #: digest -> CodeObject with no front end at all.
     code: ScriptCodeCache = field(default_factory=ScriptCodeCache)
     #: Static-analysis tier: memoised ScriptReports keyed by the same source
-    #: digest.  Reports are frozen dataclasses of plain values, so this tier
-    #: ships in warm-state snapshots exactly like the others.
+    #: digest.
     reports: ScriptReportCache = field(default_factory=ScriptReportCache)
 
     def policy_for(self, options) -> object:
@@ -301,29 +254,13 @@ class CompileCaches:
         decision_size: int = DEFAULT_SHARED_DECISION_CACHE_SIZE,
     ) -> "CompileCaches":
         """A fresh stack with the default (or overridden) capacities."""
-        scripts = ScriptAstCache(ast_size) if ast_size is not None else ScriptAstCache()
-        code = ScriptCodeCache(code_size) if code_size is not None else ScriptCodeCache()
-        reports = ScriptReportCache(report_size) if report_size is not None else ScriptReportCache()
         return cls(
             templates=TemplateCache(template_size),
-            scripts=scripts,
+            scripts=ScriptAstCache(ast_size),
             decisions=DecisionCache(decision_size),
-            code=code,
-            reports=reports,
+            code=ScriptCodeCache(code_size),
+            reports=ScriptReportCache(report_size),
         )
-
-    def reset_counters(self) -> None:
-        """Zero every layer's hit/miss telemetry, keeping all entries.
-
-        Entries stay warm; only the counters restart.  Called when a shipped
-        snapshot is restored in a worker so its reported rates are the
-        worker's own.
-        """
-        self.templates.reset_counters()
-        self.scripts.reset_counters()
-        self.code.reset_counters()
-        self.reports.reset_counters()
-        self.decisions.reset_counters()
 
     def as_dict(self) -> dict[str, object]:
         """Effectiveness counters of every layer (for benchmark reports)."""
@@ -335,107 +272,3 @@ class CompileCaches:
             "decisions": self.decisions.info().as_dict(),
         }
 
-
-# -- warm-state shipping -------------------------------------------------------------
-
-#: Schema header stamped on every shipped warm-state payload.  The version
-#: is bumped whenever WarmState's shape (or anything it transitively
-#: pickles) changes incompatibly, so a worker fed a snapshot from another
-#: build fails with a clear message instead of an unpickling traceback.
-WARM_STATE_SCHEMA = 1
-_WARM_STATE_MAGIC = b"REPRO-WARM:"
-
-
-class WarmStateError(RuntimeError):
-    """A shipped warm-state snapshot is stale, truncated or corrupt."""
-
-
-@dataclass
-class WarmState:
-    """One worker's warm start, serialised by the parent and shipped to all.
-
-    Carries the warmed :class:`CompileCaches` stack plus the two pieces of
-    runner state the cache keys depend on:
-
-    * ``nonce_secret`` -- the markup-randomisation secret.  Template-cache
-      keys are body digests, and response bodies embed nonces seeded from
-      this secret; every worker must use the *parent's* secret or its
-      applications would emit different bytes and miss every shipped
-      template.  Sharing one secret across the workers of one run is safe
-      for the same reason the per-runner secret is: nonce values never enter
-      verdicts, digests or the parity report, and page content still cannot
-      compute them.
-    * ``warmed_apps`` -- the applications the parent already pre-warmed, so
-      workers skip the per-app warm-up entirely.
-    """
-
-    caches: CompileCaches
-    nonce_secret: str
-    warmed_apps: tuple[str, ...]
-
-
-def dump_warm_state(
-    caches: CompileCaches, *, nonce_secret: str, warmed_apps=()
-) -> bytes:
-    """Serialise a warmed stack into one shippable payload.
-
-    Everything in the stack is process-portable by construction: parsed DOM
-    templates (plain node trees), script ASTs / code objects, frozen access
-    decisions and the shared policy instances (whose cache tokens are
-    materialised attributes, so they travel with the pickle).
-    """
-    state = WarmState(
-        caches=caches,
-        nonce_secret=nonce_secret,
-        warmed_apps=tuple(warmed_apps),
-    )
-    header = _WARM_STATE_MAGIC + str(WARM_STATE_SCHEMA).encode("ascii") + b"\n"
-    return header + pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_warm_state(data: bytes) -> WarmState:
-    """Rebuild a shipped warm state in this process.
-
-    Two restore-side fixups keep the snapshot safe outside its birth
-    process:
-
-    * the policy-token range the shipped policies occupy is reserved, so a
-      policy built locally afterwards (e.g. for a matrix column the parent
-      never warmed) can never draw a token a shipped policy already owns --
-      under ``spawn`` the local counter restarts at zero, and a collision
-      would let the shared decision cache serve one policy's verdicts for
-      another;
-    * the hit/miss telemetry is zeroed (entries stay warm), so per-worker
-      cache rates describe per-worker traffic.
-    """
-    if not data.startswith(_WARM_STATE_MAGIC):
-        raise WarmStateError(
-            "warm-state payload has no schema header -- it was produced by an "
-            "incompatible build (or is not a warm-state snapshot at all); "
-            "re-warm in the parent instead of shipping it"
-        )
-    header, sep, payload = data.partition(b"\n")
-    version_text = header[len(_WARM_STATE_MAGIC):]
-    if not sep or not version_text.isdigit():
-        raise WarmStateError("warm-state payload is truncated inside its schema header")
-    version = int(version_text)
-    if version != WARM_STATE_SCHEMA:
-        raise WarmStateError(
-            f"warm-state schema mismatch: snapshot is v{version}, this build "
-            f"reads v{WARM_STATE_SCHEMA}; re-warm in the parent"
-        )
-    try:
-        state: WarmState = pickle.loads(payload)
-    except Exception as error:
-        raise WarmStateError(
-            f"warm-state payload is truncated or corrupt ({type(error).__name__}: {error})"
-        ) from error
-    if not isinstance(state, WarmState):
-        raise WarmStateError(
-            f"warm-state payload decoded to {type(state).__name__}, expected WarmState"
-        )
-    tokens = [policy.cache_token for policy in state.caches.policies.values()]
-    if tokens:
-        reserve_policy_tokens(max(tokens) + 1)
-    state.caches.reset_counters()
-    return state

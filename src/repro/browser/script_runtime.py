@@ -36,7 +36,6 @@ from repro.scripting.errors import RuntimeScriptError, ScriptError
 from repro.scripting.interpreter import (
     ExecutionResult,
     HostObject,
-    Interpreter,
     NativeConstructor,
     NativeFunction,
 )
@@ -491,11 +490,8 @@ class ScriptRuntime:
         max_steps: int = 500_000,
         ast_cache: ScriptAstCache | None = None,
         code_cache: ScriptCodeCache | None = None,
-        engine: str = "vm",
         screen=None,
     ) -> None:
-        if engine not in ("vm", "walker"):
-            raise ValueError(f"unknown script engine {engine!r} (expected 'vm' or 'walker')")
         self.browser = browser
         self.page = page
         self.max_steps = max_steps
@@ -504,11 +500,8 @@ class ScriptRuntime:
         #: lexing and parsing entirely.
         self.ast_cache = ast_cache
         #: Optional shared back-end cache: memoises the compiled bytecode one
-        #: tier below the AST cache (only consulted by the ``vm`` engine).
+        #: tier below the AST cache.
         self.code_cache = code_cache
-        #: ``"vm"`` (bytecode, default) or ``"walker"`` (the reference AST
-        #: interpreter, kept selectable for differential parity runs).
-        self.engine = engine
         #: Optional :class:`~repro.analysis.soundness.StaticScreen` -- when
         #: set, every executed source is statically analyzed (memoised) and
         #: every monitor decision is attributed to the causing script.
@@ -565,36 +558,27 @@ class ScriptRuntime:
 
     # -- helpers --------------------------------------------------------------------------------
 
-    def make_engine(self):
-        """Build one principal's execution engine (VM unless ``--ast-walker``)."""
-        if self.engine == "walker":
-            return Interpreter(max_steps=self.max_steps)
+    def make_engine(self) -> VirtualMachine:
+        """Build one principal's execution engine."""
         return VirtualMachine(max_steps=self.max_steps)
 
     def _run_source(self, interpreter, source: str) -> ExecutionResult:
-        """Run ``source`` through whatever compile tiers are configured.
+        """Run ``source``, through the code cache when one is configured.
 
-        The cached paths are observably identical to ``interpreter.run(source)``:
+        The cached path is observably identical to ``interpreter.run(source)``:
         a (possibly memoised) front-end error yields the same failed
         :class:`ExecutionResult` a cold parse would, and cached bytecode
         re-executes through the same mediated host calls.
         """
-        if self.engine == "vm" and self.code_cache is not None:
-            # Full tiering: source digest -> bytecode (which itself fronts
-            # through the AST cache on a code-cache miss).
-            parse = self.ast_cache.parse if self.ast_cache is not None else parse_script
-            try:
-                code = self.code_cache.code_for(source, parse=parse)
-            except ScriptError as error:
-                return ExecutionResult(error=error, completed=False)
-            return interpreter.run(code)
-        if self.ast_cache is None:
+        if self.code_cache is None:
             return interpreter.run(source)
+        # Source digest -> bytecode, fronted by the AST cache on a miss.
+        parse = self.ast_cache.parse if self.ast_cache is not None else parse_script
         try:
-            program = self.ast_cache.parse(source)
+            code = self.code_cache.code_for(source, parse=parse)
         except ScriptError as error:
             return ExecutionResult(error=error, completed=False)
-        return interpreter.run(program)
+        return interpreter.run(code)
 
     def _script_source(self, script_element: Element) -> str:
         """Inline source, or the fetched body of a ``src`` script."""

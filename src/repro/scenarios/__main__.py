@@ -36,6 +36,13 @@ from .runner import ScenarioRunner
 DEFAULT_BENCH_OUT = "benchmarks/results/BENCH_scenarios.json"
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 (auto) or positive, got {value}")
+    return value
+
+
 def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios",
@@ -64,18 +71,11 @@ def _parse_args(argv) -> argparse.Namespace:
     )
     parser.add_argument(
         "--steal-chunk",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="scenario indices handed out per work-stealing queue pull "
         "(default: 0 = auto, roughly four pulls per worker)",
-    )
-    parser.add_argument(
-        "--no-warm-ship",
-        action="store_true",
-        help="do not ship the parent's pre-warmed compile-cache snapshot to "
-        "the workers; every worker then warms its own caches from scratch "
-        "(the cold-start benchmark baseline)",
     )
     parser.add_argument(
         "--corpus",
@@ -102,13 +102,6 @@ def _parse_args(argv) -> argparse.Namespace:
         help="disable the per-worker compile caches (templates, script ASTs, "
         "warm decision cache); every scenario then cold-starts, which is the "
         "benchmark baseline",
-    )
-    parser.add_argument(
-        "--ast-walker",
-        action="store_true",
-        help="execute scripts with the reference AST-walking interpreter "
-        "instead of the bytecode VM (differential parity runs: the report "
-        "must be byte-identical either way)",
     )
     parser.add_argument(
         "--backend",
@@ -171,7 +164,6 @@ def _replay_one(args: argparse.Namespace) -> int:
     runner = ScenarioRunner(
         models=args.matrix,
         compile_caches=not args.cold,
-        script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
     )
     runs = runner.run(scenario)
@@ -224,10 +216,8 @@ def main(argv=None) -> int:
         corpus_dir=args.corpus or None,
         persist_failures=not args.no_corpus,
         compile_caches=not args.cold,
-        script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
         steal_chunk=args.steal_chunk or None,
-        warm_ship=not args.no_warm_ship,
         faults=faults,
         crash_schedule=crash_schedule,
     )

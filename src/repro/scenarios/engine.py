@@ -177,7 +177,6 @@ def run_suite(
     oracle: DifferentialOracle | None = None,
     indices=None,
     compile_caches: bool = True,
-    script_engine: str = "vm",
     storage: str = "dict",
     faults=None,
 ) -> SuiteResult:
@@ -188,18 +187,16 @@ def run_suite(
     through this very loop, so the serial and parallel engines share one
     generate -> run -> classify -> aggregate code path.  ``compile_caches``
     controls the default runner's warm compile-cache stack and
-    ``script_engine`` its execution engine (``"vm"`` or ``"walker"``) and
     ``storage`` the application persistence backend (``"dict"`` or
     ``"sqlite"``); with ``faults`` a
     :class:`~repro.faults.plan.FaultConfig` (or its dict form) arms the
-    fault-injection plane on every run.  All four are ignored when an
+    fault-injection plane on every run.  All three are ignored when an
     explicit ``runner`` is passed (the runner carries its own).
     """
     generator = generator or ScenarioGenerator(seed=seed, attack_ratio=attack_ratio)
     runner = runner or ScenarioRunner(
         models=models,
         compile_caches=compile_caches,
-        script_engine=script_engine,
         storage=storage,
         faults=faults,
     )

@@ -1,31 +1,23 @@
-"""Work-stealing parallel scenario execution with warm-state shipping.
+"""Work-stealing parallel scenario execution.
 
 The serial engine (:func:`repro.scenarios.engine.run_suite`) executes one
-scenario at a time in one process -- fine for a hundred scenarios, a ceiling
-for the ROADMAP's fuzzing-at-scale ambitions.  This module distributes the
-seeded index space over N worker processes and fixes the two defects the
-first sharded executor shipped with:
+scenario at a time in one process.  This module distributes the seeded
+index space over N worker processes.  Workers *pull* contiguous index
+chunks from a shared queue until it runs dry (work stealing): a worker that
+lands expensive attack scenarios simply takes fewer chunks while its
+siblings drain the rest.  Each worker builds its own
+:class:`~repro.scenarios.runner.ScenarioRunner` -- policies, decision cache
+and compile caches included -- and warms it lazily, per application, the
+first time a scenario needs it.
 
-* **N workers no longer pay N cold starts.**  The parent warms *one*
-  compile-cache stack (parsed DOM templates, script ASTs / bytecode,
-  policy-matrix mediation verdicts) via the ordinary
-  :class:`~repro.scenarios.runner.ScenarioRunner` warm-up, serialises it
-  with :func:`~repro.browser.compile_cache.dump_warm_state`, and ships the
-  snapshot to every worker -- which then starts warm, whatever the start
-  method.  ``warm_ship=False`` restores the cold-worker baseline (what the
-  benchmark's cold-start-amortization section measures).
-* **A slow shard no longer stalls the merge.**  Instead of owning a fixed
-  strided slice, workers *pull* contiguous index chunks from a shared queue
-  until it runs dry (work stealing): a worker that lands expensive attack
-  scenarios simply takes fewer chunks while its siblings drain the rest.
-  Which worker runs which chunk is timing-dependent, but the *result* is
-  not: scenario ``i`` of seed ``s`` is the same scenario in every process
-  (the generator keys an isolated ``random.Random`` on ``(seed, index)``),
-  caches never change outcomes (templates are served as aliasing-free
-  clones, decisions are value-keyed with generation invalidation), and the
-  merge re-sorts verdicts into scenario-index order -- so
-  :meth:`~repro.scenarios.engine.SuiteResult.parity_dict` of a parallel run
-  equals the serial run's, byte for byte, on every run.
+Which worker runs which chunk is timing-dependent, but the *result* is
+not: scenario ``i`` of seed ``s`` is the same scenario in every process
+(the generator keys an isolated ``random.Random`` on ``(seed, index)``),
+caches never change outcomes (templates are served as aliasing-free
+clones, decisions are value-keyed with generation invalidation), and the
+merge re-sorts verdicts into scenario-index order -- so
+:meth:`~repro.scenarios.engine.SuiteResult.parity_dict` of a parallel run
+equals the serial run's, byte for byte, on every run.
 
 Worker processes are plain :class:`multiprocessing.Process` instances on an
 explicitly pinned context (``fork`` where the platform offers it, else
@@ -35,7 +27,7 @@ registrations; under ``spawn`` only import-time registrations exist, and an
 unknown attack name fails loudly in the worker rather than silently
 generating different scenarios (the parent snapshots its attack corpus into
 the shard config).  Everything crossing the process boundary is picklable:
-the config and warm-state bytes going out, plain-dict reports coming back.
+the config going out, plain-dict reports coming back.
 Failing specs are pinned into the regression corpus
 (:mod:`repro.scenarios.corpus`) from the parent process only (a single
 writer, so no file races between workers).
@@ -69,20 +61,6 @@ _SUPERVISE_POLL_S = 0.25
 #: The exit code an injected worker crash dies with (distinguishable from
 #: a Python traceback's exit 1 in the supervision log).
 CRASH_EXIT_CODE = 3
-
-
-def partition_indices(count: int, shards: int) -> list[list[int]]:
-    """Strided partition of ``range(count)`` into ``shards`` balanced slices.
-
-    Kept for callers that want a *static* assignment (striding spreads the
-    expensive seeded attack scenarios evenly); the executor itself now uses
-    :func:`steal_chunks` and lets workers balance dynamically.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    return [list(range(shard, count, shards)) for shard in range(shards)]
 
 
 def steal_chunks(count: int, chunk_size: int) -> list[list[int]]:
@@ -125,20 +103,10 @@ def resolve_mp_context(name: str | None) -> str:
 
 
 def _build_worker_runner(config: dict) -> ScenarioRunner:
-    """One worker's runner: restored from the shipped warm state, or cold."""
-    warm_state = config.get("warm_state")
-    if warm_state is not None:
-        return ScenarioRunner.from_warm_snapshot(
-            warm_state,
-            models=tuple(config["models"]),
-            script_engine=config.get("script_engine", "vm"),
-            storage=config.get("storage", "dict"),
-            faults=config.get("faults"),
-        )
+    """One worker's runner, built cold; it warms itself per application."""
     return ScenarioRunner(
         models=tuple(config["models"]),
         compile_caches=config.get("compile_caches", True),
-        script_engine=config.get("script_engine", "vm"),
         storage=config.get("storage", "dict"),
         faults=config.get("faults"),
     )
@@ -215,8 +183,7 @@ def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> Non
     """One pool worker: pull index chunks until the queue yields a sentinel.
 
     The generator / runner / oracle stack is built **once** and reused for
-    every stolen chunk, so cache warmth (shipped or self-accumulated)
-    spans the worker's whole lifetime.
+    every stolen chunk, so cache warmth spans the worker's whole lifetime.
 
     The per-chunk message protocol is what makes the executor *supervisable*:
     a ``claim`` message announces the chunk before any scenario runs, a
@@ -303,8 +270,6 @@ class ParallelSuiteResult(SuiteResult):
     workers: int = 1
     #: What the caller asked for, before clamping.
     requested_workers: int = 1
-    #: Whether workers started from the parent's shipped warm state.
-    warm_ship: bool = False
     #: Steal-queue chunk size (0 for the single-worker in-process path).
     steal_chunk: int = 0
     #: The pinned multiprocessing start method ("" for in-process runs).
@@ -322,7 +287,6 @@ class ParallelSuiteResult(SuiteResult):
         data = super().as_dict()
         data["workers"] = self.workers
         data["requested_workers"] = self.requested_workers
-        data["warm_ship"] = self.warm_ship
         data["steal_chunk"] = self.steal_chunk
         data["mp_start_method"] = self.mp_start_method
         data["respawns"] = self.respawns
@@ -528,10 +492,8 @@ def run_suite_parallel(
     corpus_dir=None,
     persist_failures: bool = True,
     compile_caches: bool = True,
-    script_engine: str = "vm",
     storage: str = "dict",
     steal_chunk: int | None = None,
-    warm_ship: bool = True,
     mp_context: str | None = None,
     faults=None,
     crash_schedule: dict | None = None,
@@ -540,15 +502,13 @@ def run_suite_parallel(
 
     The merged result's :meth:`~repro.scenarios.engine.SuiteResult.parity_dict`
     is byte-identical to a serial :func:`~repro.scenarios.engine.run_suite`
-    of the same seed range -- with stealing and warm shipping on, off, or
-    mixed.  Failing specs are pinned into the regression corpus
+    of the same seed range, whatever the worker count or chunk size.  Failing specs are pinned into the regression corpus
     (``corpus_dir``, defaulting to ``tests/scenarios/corpus/``) unless
     ``persist_failures`` is off.
 
     ``steal_chunk`` sets how many consecutive scenario indices one queue
-    pull hands a worker (default: auto, ~4 pulls per worker).
-    ``warm_ship=False`` makes every worker warm its own caches from scratch
-    (the PR-5 behaviour, kept as the benchmark's cold-start baseline);
+    pull hands a worker (``None`` or 0: auto, ~4 pulls per worker; a
+    negative value is rejected whatever the worker count).
     ``compile_caches=False`` disables the cache stack entirely.
     ``mp_context`` pins the multiprocessing start method (default: ``fork``
     where available, else ``spawn``; see :func:`resolve_mp_context`).
@@ -563,6 +523,8 @@ def run_suite_parallel(
     worker the run is in-process and the schedule is ignored.
     """
     requested = max(1, int(workers))
+    if steal_chunk is not None and int(steal_chunk) < 0:
+        raise ValueError("steal_chunk must be positive (or 0 for auto)")
     if isinstance(faults, dict):
         faults = FaultConfig.from_dict(faults)
     model_names = tuple(spec.name for spec in resolve_models(models))
@@ -580,7 +542,6 @@ def run_suite_parallel(
         "attack_names": generator._attack_names,
         "models": model_names,
         "compile_caches": compile_caches,
-        "script_engine": script_engine,
         "storage": storage,
         "faults": faults.to_dict() if faults is not None else None,
         "crash_schedule": dict(crash_schedule) if crash_schedule else None,
@@ -590,29 +551,13 @@ def run_suite_parallel(
     respawns = 0
     crashed_workers: list[int] = []
     if shard_count == 1:
-        # One worker needs no pool (and nothing shipped): run the whole range
-        # in-process, through the exact same runner-construction code path
-        # the pooled workers take.
+        # One worker needs no pool: run the whole range in-process, through
+        # the exact same runner-construction code path the pooled workers take.
         chunk_size = 0
-        shipped = False
         start_method = ""
         reports = [_run_shard(dict(config, shard=0, indices=list(range(count))))]
     else:
         chunk_size = int(steal_chunk) if steal_chunk else default_steal_chunk(count, shard_count)
-        if chunk_size < 1:
-            raise ValueError("steal_chunk must be positive")
-        shipped = bool(compile_caches and warm_ship)
-        if shipped:
-            # Pay the warm-up exactly once, in the parent: index pages of
-            # every generated app, across the whole policy matrix.
-            warm_runner = ScenarioRunner(
-                models=model_names,
-                compile_caches=True,
-                script_engine=script_engine,
-                storage=storage,
-            )
-            warm_runner.warm_for(generator.apps)
-            config["warm_state"] = warm_runner.warm_snapshot()
         start_method = resolve_mp_context(mp_context)
         ctx = multiprocessing.get_context(start_method)
         task_queue = ctx.Queue()
@@ -652,7 +597,6 @@ def run_suite_parallel(
         attack_ratio=generator.attack_ratio,
         workers=shard_count,
         requested_workers=requested,
-        warm_ship=shipped,
         steal_chunk=chunk_size,
         mp_start_method=start_method,
         respawns=respawns,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.attacks.harness import Attack, AttackEnvironment, AttackResult, build_environment, login_user
 from repro.browser.browser import Browser, LoadedPage
-from repro.browser.compile_cache import CompileCaches, dump_warm_state, load_warm_state
+from repro.browser.compile_cache import CompileCaches
 from repro.faults.plan import FaultConfig, FaultPlan
 
 from .generator import attack_by_name
@@ -114,24 +114,17 @@ class ScenarioRunner:
         models=("escudo", "sop", "none"),
         *,
         compile_caches: "bool | CompileCaches" = True,
-        script_engine: str = "vm",
         storage: str = "dict",
         static_screen: bool = False,
         faults: "FaultConfig | dict | None" = None,
     ) -> None:
         self.specs = resolve_models(models)
-        if script_engine not in ("vm", "walker"):
-            raise ValueError(f"unknown script engine {script_engine!r}")
         if storage not in ("dict", "sqlite") and not storage.startswith("sqlite:"):
             raise ValueError(f"unknown storage backend {storage!r}")
         #: Storage backend kind every application in the matrix is built on
         #: (``dict`` or ``sqlite``).  Verdict-neutral by the differential
         #: suite: both backends produce byte-identical digests.
         self.storage = storage
-        #: Execution engine for every browser this worker builds: the
-        #: bytecode VM by default, or the reference AST walker
-        #: (``--ast-walker``) for differential parity runs.
-        self.script_engine = script_engine
         if compile_caches is True:
             self.caches: CompileCaches | None = CompileCaches.build()
         elif compile_caches is False:
@@ -172,58 +165,10 @@ class ScenarioRunner:
 
         A no-op without a cache stack, and per app after the first call --
         the same lazy warm-up scenario execution triggers, just paid up
-        front (the parallel executor does this once in the parent before
-        snapshotting).
+        front.
         """
         for app_key in app_keys:
             self._warm_start(app_key)
-
-    def warm_snapshot(self) -> bytes:
-        """Serialise this runner's warm state for shipping to workers.
-
-        The payload carries the compile-cache stack plus the nonce secret
-        and warmed-app set (see
-        :class:`~repro.browser.compile_cache.WarmState`); a worker built
-        with :meth:`from_warm_snapshot` then reproduces this runner's
-        template bytes exactly and starts with every cache warm.
-        """
-        if self.caches is None:
-            raise ValueError("cannot snapshot a runner without compile caches")
-        return dump_warm_state(
-            self.caches,
-            nonce_secret=self._nonce_secret,
-            warmed_apps=tuple(sorted(self._warmed_apps)),
-        )
-
-    @classmethod
-    def from_warm_snapshot(
-        cls,
-        data: bytes,
-        *,
-        models=("escudo", "sop", "none"),
-        script_engine: str = "vm",
-        storage: str = "dict",
-        faults: "FaultConfig | dict | None" = None,
-    ) -> "ScenarioRunner":
-        """A runner that starts from a shipped warm state instead of cold.
-
-        Verdict-neutral by construction: caches only ever change *when* work
-        is done, never its outcome (templates are served as aliasing-free
-        clones, decisions are value-keyed with generation invalidation), so
-        a warm-shipped worker and a cold one produce byte-identical parity
-        reports.
-        """
-        state = load_warm_state(data)
-        runner = cls(
-            models=models,
-            compile_caches=state.caches,
-            script_engine=script_engine,
-            storage=storage,
-            faults=faults,
-        )
-        runner._nonce_secret = state.nonce_secret
-        runner._warmed_apps = set(state.warmed_apps)
-        return runner
 
     def _app_kwargs(self, app_key: str, spec: ModelSpec) -> dict | None:
         """Application construction flags for one matrix column.
@@ -263,7 +208,6 @@ class ScenarioRunner:
                 escudo_app=spec.escudo_app,
                 app_kwargs=self._app_kwargs(app_key, spec),
                 caches=self.caches,
-                script_engine=self.script_engine,
             )
             env.browser.load(f"{env.app.origin}/")
 
@@ -299,7 +243,6 @@ class ScenarioRunner:
             escudo_app=spec.escudo_app,
             app_kwargs=self._app_kwargs(scenario.app_key, spec),
             caches=caches,
-            script_engine=self.script_engine,
             static_screen=self.screen,
         )
         env.victim = scenario.victim.name
@@ -387,7 +330,6 @@ class ScenarioRunner:
                 model=browser_model,
                 interleave_seed=scenario.interleave or None,
                 caches=self.caches,
-                script_engine=self.script_engine,
                 static_screen=self.screen,
             )
             browser.fault_plan = env.extra.get("fault_plan")

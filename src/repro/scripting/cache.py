@@ -1,4 +1,4 @@
-"""Script compilation cache: memoised lexer + parser output.
+"""Script compile caches: memoised parse, bytecode and analysis per source.
 
 The scenario engine executes the same script sources over and over -- every
 page load of an application re-runs its head scripts, every replayed attack
@@ -7,7 +7,8 @@ and the MiniScript front end (lexing + recursive-descent parsing) dominates
 script execution cost for these short programs.
 
 :class:`ScriptAstCache` memoises the front end keyed on the SHA-256 of the
-source text.  Sharing one parsed :class:`~repro.scripting.ast_nodes.Program`
+source text; :class:`ScriptCodeCache` and :class:`ScriptReportCache` memoise
+the bytecode and the static-analysis report under the same key.  Sharing one parsed :class:`~repro.scripting.ast_nodes.Program`
 between executions is safe because the interpreter treats the AST as
 read-only (exactly like a real engine sharing bytecode between realms): all
 execution state lives in :class:`~repro.scripting.interpreter.Environment`
@@ -15,11 +16,10 @@ chains, never on the nodes.  Parse *errors* are memoised too -- a scenario
 that replays a syntactically broken payload should not re-lex it a hundred
 times just to rediscover the same :class:`ParseError`.
 
-Both caches are process-portable: entries are plain ASTs / code objects /
-exceptions with no handles on the owning process, so a warmed cache can be
-pickled into a warm-state snapshot and shipped to worker processes (see
-:mod:`repro.browser.compile_cache`).  :meth:`~ScriptAstCache.reset_counters`
-is the restore side's hook for starting per-worker telemetry cold.
+The three script tiers -- ASTs, bytecode and static-analysis reports --
+share :class:`BoundedCache` (bounded LRU storage plus hit/miss counters);
+:class:`~repro.browser.compile_cache.TemplateCache` builds on it too.  Each
+tier keeps its own lookup method, which counts its own hits and misses.
 """
 
 from __future__ import annotations
@@ -54,16 +54,59 @@ def _fresh_error(error: ScriptError) -> ScriptError:
     return copy
 
 
-class ScriptAstCache:
-    """Bounded LRU of parsed programs keyed by source digest."""
+class BoundedCache:
+    """Bounded LRU storage and hit/miss counters shared by the compile caches.
 
-    def __init__(self, maxsize: int = DEFAULT_AST_CACHE_SIZE) -> None:
+    A subclass defines the lookup method: it reads ``_entries``, counts
+    ``hits``/``misses`` and calls :meth:`_store` on a miss.
+    """
+
+    #: Names the cache in the size-check error.
+    kind = "compile"
+    #: Capacity used when the constructor is given none.
+    default_maxsize = 512
+
+    def __init__(self, maxsize: int | None = None) -> None:
+        if maxsize is None:
+            maxsize = self.default_maxsize
         if maxsize <= 0:
-            raise ValueError("AST cache maxsize must be positive")
+            raise ValueError(f"{self.kind} cache maxsize must be positive")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[str, ast.Program | ScriptError]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
+
+    def _store(self, key, value) -> None:
+        entries = self._entries
+        if len(entries) >= self.maxsize:
+            entries.popitem(last=False)
+        entries[key] = value
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def as_dict(self) -> dict[str, object]:
+        """Counters for benchmark reports."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate,
+            "size": len(self._entries),
+            "maxsize": self.maxsize,
+        }
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class ScriptAstCache(BoundedCache):
+    """Bounded LRU of parsed programs keyed by source digest."""
+
+    kind = "AST"
+    default_maxsize = DEFAULT_AST_CACHE_SIZE
 
     def parse(self, source: str) -> ast.Program:
         """Parse ``source``, serving repeats from the cache.
@@ -90,53 +133,15 @@ class ScriptAstCache:
         self._store(key, program)
         return program
 
-    def _store(self, key: str, value: "ast.Program | ScriptError") -> None:
-        entries = self._entries
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = value
 
-    # -- introspection ---------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every entry.
-
-        Part of the warm-snapshot protocol: a worker restoring a shipped
-        cache starts its *telemetry* cold (so per-worker hit rates describe
-        that worker's own traffic) while the entries stay warm.
-        """
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of parses served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class ScriptReportCache:
+class ScriptReportCache(BoundedCache):
     """Bounded LRU of :class:`~repro.scripting.analysis.ScriptReport` values.
 
     Third compile-cache tier, alongside the AST and bytecode caches: where
     those memoise *how to run* a source, this memoises what the static
     analyzer *proves about* it.  A report depends only on the source text,
-    so the same digest keying applies, and reports are frozen dataclasses of
-    plain values -- fully process-portable, so a warmed report cache ships
-    in warm-state snapshots exactly like the other tiers.
+    so the same digest keying applies; reports are frozen dataclasses of
+    plain values, safe to hand out repeatedly.
 
     Unlike the sibling caches this one never raises: a source that fails
     the front end still gets a (memoised) report with ``error`` set and an
@@ -144,21 +149,16 @@ class ScriptReportCache:
     nothing.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_REPORT_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("report cache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+    kind = "report"
+    default_maxsize = DEFAULT_REPORT_CACHE_SIZE
 
     def report_for(self, source: str, *, parse=parse_script):
         """Analyze ``source``, serving repeats from the cache.
 
         ``parse`` is the front end used on a miss -- pass a bound
         :meth:`ScriptAstCache.parse` to share the AST tier with execution,
-        so a screened run parses each distinct source once for all three
-        consumers (analysis, walker, compiler).
+        so a screened run parses each distinct source once for both
+        consumers (analysis and compiler).
         """
         from .analysis import analyze_source
 
@@ -174,41 +174,8 @@ class ScriptReportCache:
         self._store(key, report)
         return report
 
-    def _store(self, key: str, value) -> None:
-        entries = self._entries
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = value
 
-    # -- introspection ---------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every entry (see
-        :meth:`ScriptAstCache.reset_counters`)."""
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of analyses served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class ScriptCodeCache:
+class ScriptCodeCache(BoundedCache):
     """Bounded LRU of compiled :class:`CodeObject` keyed by source digest.
 
     Sibling of :class:`ScriptAstCache` one tier further down: where the AST
@@ -227,13 +194,8 @@ class ScriptCodeCache:
     see :func:`_fresh_error`) so a replayed broken payload costs one digest.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_CODE_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("code cache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+    kind = "code"
+    default_maxsize = DEFAULT_CODE_CACHE_SIZE
 
     def code_for(self, source: str, *, parse=parse_script):
         """Compile ``source`` to bytecode, serving repeats from the cache.
@@ -262,36 +224,3 @@ class ScriptCodeCache:
             raise
         self._store(key, code)
         return code
-
-    def _store(self, key: str, value) -> None:
-        entries = self._entries
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = value
-
-    # -- introspection ---------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every entry (see
-        :meth:`ScriptAstCache.reset_counters`)."""
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of compilations served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)

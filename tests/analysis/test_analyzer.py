@@ -332,16 +332,6 @@ def test_report_cache_evicts_least_recently_used():
     assert cache.hits == hits_before
 
 
-def test_report_cache_reset_counters_keeps_entries():
-    cache = ScriptReportCache()
-    cache.report_for("var a = 1;")
-    cache.report_for("var a = 1;")
-    cache.reset_counters()
-    assert cache.hits == 0
-    assert cache.misses == 0
-    assert len(cache) == 1
-
-
 def test_report_cache_as_dict_shape():
     cache = ScriptReportCache()
     cache.report_for("var a = 1;")

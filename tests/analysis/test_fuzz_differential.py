@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis.soundness import StaticScreen
 from repro.attacks.harness import build_environment, visit
+from tests.scripting.walker_engine import ENGINES, use_engine
 
 SEED_COUNT = 60
 _ELEMENT_IDS = ("whoami", "unread-count", "post-body-1", "no-such-node")
@@ -122,13 +123,15 @@ def corpus():
     return scripts
 
 
-@pytest.mark.parametrize("engine", ["vm", "walker"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_fuzz_corpus_has_no_false_negatives(engine, corpus):
     screen = StaticScreen()
-    env = build_environment("phpbb", "escudo", static_screen=screen, script_engine=engine)
-    loaded = visit(env, "/viewtopic?t=1")
-    for index, source in enumerate(corpus):
-        env.browser.run_script(loaded, source, description=f"fuzz seed {index}")
+    env = build_environment("phpbb", "escudo", static_screen=screen)
+    with use_engine(engine) as use:
+        loaded = visit(env, "/viewtopic?t=1")
+        for index, source in enumerate(corpus):
+            env.browser.run_script(loaded, source, description=f"fuzz seed {index}")
+    use.assert_only(engine)
     # Every generated script must have been observed and analyzed.
     assert len(screen._records) >= SEED_COUNT
     stats = screen.verify()  # raises SoundnessViolation on any false negative
@@ -144,12 +147,14 @@ def test_fuzz_corpus_has_no_false_negatives(engine, corpus):
 def test_engines_agree_on_observed_accesses(corpus):
     """The two engines must audit identical access sets per script."""
     observed = {}
-    for engine in ("vm", "walker"):
+    for engine in ENGINES:
         screen = StaticScreen()
-        env = build_environment("phpbb", "escudo", static_screen=screen, script_engine=engine)
-        loaded = visit(env, "/viewtopic?t=1")
-        for index, source in enumerate(corpus):
-            env.browser.run_script(loaded, source, description=f"fuzz seed {index}")
+        env = build_environment("phpbb", "escudo", static_screen=screen)
+        with use_engine(engine) as use:
+            loaded = visit(env, "/viewtopic?t=1")
+            for index, source in enumerate(corpus):
+                env.browser.run_script(loaded, source, description=f"fuzz seed {index}")
+        use.assert_only(engine)
         observed[engine] = {
             digest: frozenset(record.observed) for digest, record in screen._records.items()
         }

@@ -28,7 +28,7 @@ class Widget:
         return "ok"  # mutates nothing: missing touch_state/storage write
 
 
-class WidgetCache:
+class WidgetStore:
     def lookup(self, key):
         try:
             return pickle.loads(key) or time.time()
@@ -118,6 +118,16 @@ def test_suppression_comment_silences_one_line(bad_tree):
     assert "determinism" not in fired
     # Only the named rule is silenced; the others still fire on their lines.
     assert {rule.rule_id for rule in ALL_RULES} - fired == {"determinism"}
+
+
+def test_pickle_is_banned_in_every_module(tmp_path):
+    # No module is exempt, including the two that once shipped warm state.
+    for relative in ("browser/compile_cache.py", "scenarios/parallel.py"):
+        target = tmp_path / relative
+        target.parent.mkdir(exist_ok=True)
+        target.write_text("from pickle import loads\n", encoding="utf-8")
+    violations = lint_paths([tmp_path])
+    assert [violation.rule for violation in violations] == ["pickle-confinement"] * 2
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path):

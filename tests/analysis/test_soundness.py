@@ -2,7 +2,9 @@
 
 A screened :class:`ScenarioRunner` executes a generated scenario suite and
 the pinned regression corpus under every (engine, storage backend)
-configuration.  ``StaticScreen.verify()`` then enforces the contract::
+configuration; the walker is swapped in with
+:func:`tests.scripting.walker_engine.use_engine`.  ``StaticScreen.verify()``
+then enforces the contract::
 
     dynamically audited access categories  ⊆  statically predicted sinks
 
@@ -18,6 +20,7 @@ import pytest
 from repro.scenarios import load_corpus
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.runner import ScenarioRunner
+from tests.scripting.walker_engine import use_engine
 
 _CONFIGS = [
     ("vm", "dict"),
@@ -33,9 +36,11 @@ def _suite(count: int = 20):
 
 @pytest.mark.parametrize("engine,storage", _CONFIGS, ids=["-".join(c) for c in _CONFIGS])
 def test_generated_suite_is_sound(engine, storage):
-    runner = ScenarioRunner(script_engine=engine, storage=storage, static_screen=True)
-    for scenario in _suite():
-        runner.run(scenario)
+    runner = ScenarioRunner(storage=storage, static_screen=True)
+    with use_engine(engine) as use:
+        for scenario in _suite():
+            runner.run(scenario)
+    use.assert_only(engine)
     stats = runner.screen.verify()  # raises on any false negative
     assert stats["scripts"] > 0
     assert stats["observed_sinks"] > 0
@@ -49,13 +54,10 @@ def test_pinned_corpus_is_sound(engine, storage):
     entries = load_corpus()
     assert entries
     for _, entry in entries:
-        runner = ScenarioRunner(
-            models=entry.models,
-            script_engine=engine,
-            storage=storage,
-            static_screen=True,
-        )
-        runner.run(entry.scenario())
+        runner = ScenarioRunner(models=entry.models, storage=storage, static_screen=True)
+        with use_engine(engine) as use:
+            runner.run(entry.scenario())
+        use.assert_only(engine)
         stats = runner.screen.verify()
         assert stats["scripts"] > 0
 

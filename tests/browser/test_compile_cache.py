@@ -1,7 +1,8 @@
 """The compile-cache stack: warm loads must be observably identical to cold.
 
-Covers the three layers (HTML templates, script ASTs, the shared decision
-cache) through the loader and the full browser, plus the correctness edges:
+Covers the layers (HTML templates, script ASTs and bytecode, the shared
+decision cache) through the loader and the full browser, the bounded-LRU
+base every compile-cache tier shares, plus the correctness edges:
 clone isolation between pages, nonce-mismatch replay, generation
 invalidation on relabels, parse-error memoisation, and the response memo's
 session/state keying.
@@ -17,7 +18,7 @@ from repro.core.config import PageConfiguration
 from repro.html.serializer import serialize
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.network import Network
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache
+from repro.scripting.cache import ScriptAstCache, ScriptCodeCache, ScriptReportCache
 from repro.scripting.compiler import CodeObject
 from repro.scripting.errors import ParseError
 from repro.scripting.interpreter import Interpreter
@@ -351,58 +352,44 @@ class TestBrowserIntegration:
         assert warm_browser.caches.templates.hits >= 1
 
 
-class TestWarmStateSchema:
-    """The shipped warm-state snapshot fails loudly instead of unpickling
-    garbage: magic header, version stamp, payload integrity."""
+class TestBoundedCacheBase:
+    """The four compile-cache tiers share one bounded-LRU base."""
 
-    @staticmethod
-    def _dump():
-        from repro.browser.compile_cache import dump_warm_state
+    TIERS = (
+        (TemplateCache, "template", 256),
+        (ScriptAstCache, "AST", 512),
+        (ScriptCodeCache, "code", 512),
+        (ScriptReportCache, "report", 512),
+    )
 
-        return dump_warm_state(
-            CompileCaches.build(), nonce_secret="s3cret", warmed_apps=("forum",)
-        )
+    @pytest.mark.parametrize("cls,kind,default", TIERS, ids=[t[1] for t in TIERS])
+    def test_size_check_names_the_tier(self, cls, kind, default):
+        with pytest.raises(ValueError, match=f"{kind} cache maxsize must be positive"):
+            cls(0)
+        assert cls().maxsize == default
+        assert cls(None).maxsize == default
 
-    def test_round_trip_restores_secret_and_warmed_apps(self):
-        from repro.browser.compile_cache import load_warm_state
+    @pytest.mark.parametrize("cls,kind,default", TIERS, ids=[t[1] for t in TIERS])
+    def test_store_evicts_least_recent_and_reports(self, cls, kind, default):
+        cache = cls(2)
+        for key in ("a", "b", "c"):
+            cache._store(key, key.upper())
+        assert list(cache._entries) == ["b", "c"]
+        assert len(cache) == 2
+        cache.hits, cache.misses = 3, 1
+        assert cache.hit_rate == 0.75
+        assert cache.as_dict() == {
+            "hits": 3, "misses": 1, "hit_rate": 0.75, "size": 2, "maxsize": 2,
+        }
+        assert cls(1).hit_rate == 0.0
 
-        state = load_warm_state(self._dump())
-        assert state.nonce_secret == "s3cret"
-        assert state.warmed_apps == ("forum",)
-        assert state.caches.templates is not None
-
-    def test_payload_without_magic_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        with pytest.raises(WarmStateError, match="no schema header"):
-            load_warm_state(b"\x80\x04definitely-not-a-snapshot")
-
-    def test_stale_schema_version_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        data = self._dump()
-        _, _, payload = data.partition(b"\n")
-        with pytest.raises(WarmStateError, match="schema mismatch.*v99"):
-            load_warm_state(b"REPRO-WARM:99\n" + payload)
-
-    def test_truncated_header_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        with pytest.raises(WarmStateError, match="truncated"):
-            load_warm_state(b"REPRO-WARM:1")
-
-    def test_truncated_payload_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        data = self._dump()
-        with pytest.raises(WarmStateError, match="truncated or corrupt"):
-            load_warm_state(data[: len(data) // 2])
-
-    def test_wrong_object_type_is_rejected(self):
-        import pickle
-
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        payload = b"REPRO-WARM:1\n" + pickle.dumps({"not": "a WarmState"})
-        with pytest.raises(WarmStateError, match="expected WarmState"):
-            load_warm_state(payload)
+    def test_lookup_methods_stay_on_their_classes(self):
+        # The per-layer tracer finds these with vars(klass).
+        for cls, method in (
+            (TemplateCache, "entry"),
+            (TemplateCache, "labeled_tree"),
+            (ScriptAstCache, "parse"),
+            (ScriptCodeCache, "code_for"),
+            (ScriptReportCache, "report_for"),
+        ):
+            assert method in vars(cls), f"{cls.__name__}.{method} moved"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.scenarios.__main__ import main
 
 
@@ -67,14 +69,13 @@ class TestSuiteRuns:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
 
-    def test_steal_chunk_and_no_warm_ship_flags(self, capsys):
+    def test_steal_chunk_flag(self, capsys):
         rc = main(
             [
                 "--seed", "42",
                 "--count", "4",
                 "--workers", "2",
                 "--steal-chunk", "1",
-                "--no-warm-ship",
                 "--no-corpus",
                 "--json",
                 "--bench-out", "",
@@ -83,9 +84,26 @@ class TestSuiteRuns:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["steal_chunk"] == 1
-        assert payload["warm_ship"] is False
+        assert "warm_ship" not in payload
         # Four single-index chunks were pulled across the two workers.
         assert sum(shard["chunks_stolen"] for shard in payload["shards"]) == 4
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_negative_steal_chunk_is_a_usage_error(self, workers, capsys):
+        # Rejected by argparse before any worker starts, whatever the count.
+        argv = ["--seed", "1", "--count", "3", "--workers", workers,
+                "--steal-chunk", "-3", "--no-corpus", "--bench-out", ""]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--steal-chunk: must be 0 (auto) or positive, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--no-warm-ship", "--ast-walker"])
+    def test_removed_engine_and_shipping_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--count", "1", "--no-corpus", "--bench-out", "", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReplay:

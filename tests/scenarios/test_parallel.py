@@ -4,7 +4,7 @@ The acceptance property for the parallel executor is *byte-identical
 merging*: a sharded run of a seed range must produce exactly the report a
 serial run of the same range produces -- every verdict, every aggregate
 counter.  These tests lock that in at 2 workers over 50 scenarios, exercise
-the partitioner, and drive the failure path end to end (a run with the
+the steal scheduler, and drive the failure path end to end (a run with the
 protected column removed must pin its failing specs into the regression
 corpus, deduplicated, and the pinned entries must replay).
 """
@@ -18,10 +18,8 @@ import pytest
 
 from repro.scenarios import (
     ScenarioGenerator,
-    ScenarioRunner,
     default_steal_chunk,
     load_corpus,
-    partition_indices,
     resolve_mp_context,
     run_suite,
     run_suite_parallel,
@@ -34,25 +32,6 @@ from repro.scenarios.parallel import _verdict_entries
 
 SEED = 42
 ATTACK_RATIO = 0.25
-
-
-class TestPartitioning:
-    def test_partition_covers_index_space_exactly_once(self):
-        for count in (0, 1, 7, 50, 101):
-            for shards in (1, 2, 3, 4, 8):
-                parts = partition_indices(count, shards)
-                assert len(parts) == shards
-                merged = sorted(index for part in parts for index in part)
-                assert merged == list(range(count))
-
-    def test_partition_is_balanced(self):
-        parts = partition_indices(103, 4)
-        sizes = [len(part) for part in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_partition_is_strided(self):
-        # Striding spreads seeded attack scenarios evenly across workers.
-        assert partition_indices(8, 3) == [[0, 3, 6], [1, 4, 7], [2, 5]]
 
 
 class TestStealScheduling:
@@ -177,14 +156,14 @@ class TestSerialParallelParity:
         assert len(data["shards"]) == 2
         # The work-stealing executor's knobs are part of the payload.
         assert data["requested_workers"] == 2
-        assert data["warm_ship"] is True
+        assert "warm_ship" not in data
         assert data["steal_chunk"] >= 1
         assert data["mp_start_method"] in multiprocessing.get_all_start_methods()
         json.dumps(data)  # the payload must stay JSON-serialisable
 
 
 class TestWorkStealing:
-    """The steal queue and warm shipping never change the merged report."""
+    """The steal queue never changes the merged report."""
 
     def test_fine_grained_stealing_matches_serial(self):
         """steal_chunk=1 maximises queue contention; parity must survive it."""
@@ -224,21 +203,15 @@ class TestWorkStealing:
             runs[1].parity_dict()
         )
 
-    def test_cold_workers_match_warm_shipped(self):
-        """warm_ship only moves cache warm-up, never outcomes."""
-        warm = run_suite_parallel(
-            seed=SEED, count=12, attack_ratio=ATTACK_RATIO, workers=2,
-            warm_ship=True, persist_failures=False,
-        )
-        cold = run_suite_parallel(
-            seed=SEED, count=12, attack_ratio=ATTACK_RATIO, workers=2,
-            warm_ship=False, persist_failures=False,
-        )
-        assert warm.warm_ship is True
-        assert cold.warm_ship is False
-        assert canonical_spec_json(warm.parity_dict()) == canonical_spec_json(
-            cold.parity_dict()
-        )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_negative_steal_chunk_is_rejected_at_any_worker_count(self, workers):
+        # Checked before the single-worker shortcut, so one worker cannot
+        # silently accept what two reject.
+        with pytest.raises(ValueError, match="steal_chunk must be positive"):
+            run_suite_parallel(
+                seed=SEED, count=3, attack_ratio=0.0, workers=workers,
+                steal_chunk=-3, persist_failures=False,
+            )
 
     def test_empty_suite_is_ok(self):
         result = run_suite_parallel(
@@ -266,9 +239,9 @@ class TestWorkStealing:
     def test_spawn_context_parity(self):
         """Pinning spawn must reproduce the serial report (no fork-only state).
 
-        Under spawn the worker re-imports the package from scratch, so this
-        regresses the old fork-only assumptions: the warm snapshot (and its
-        policy cache tokens) must restore cleanly in a fresh interpreter.
+        Under spawn the worker re-imports the package from scratch and warms
+        its own runner -- policies, decision cache and compile caches -- in a
+        fresh interpreter; its merged report must still equal the serial run.
         """
         serial = run_suite(seed=SEED, count=6, attack_ratio=ATTACK_RATIO)
         sharded = run_suite_parallel(
@@ -329,32 +302,6 @@ class TestVerdictAccounting:
             run_suite_parallel(
                 seed=SEED, count=3, attack_ratio=0.0, workers=1, persist_failures=False
             )
-
-
-class TestWarmSnapshot:
-    """The parent's warm state restores byte-compatibly in a fresh runner."""
-
-    def test_round_trip_preserves_entries_and_nonce_secret(self):
-        generator = ScenarioGenerator(seed=SEED, attack_ratio=ATTACK_RATIO)
-        runner = ScenarioRunner()
-        runner.warm_for(generator.apps)
-        snapshot = runner.warm_snapshot()
-        assert isinstance(snapshot, bytes) and snapshot
-
-        restored = ScenarioRunner.from_warm_snapshot(snapshot)
-        assert restored._nonce_secret == runner._nonce_secret
-        layers = restored.caches.as_dict()
-        # The parsed templates travelled; the counters did not (a restored
-        # worker's hit rate must describe its own traffic only).
-        assert layers["templates"]["size"] > 0
-        for layer in ("templates", "scripts", "code", "decisions"):
-            assert layers[layer]["hits"] == 0
-            assert layers[layer]["misses"] == 0
-
-    def test_snapshot_requires_compile_caches(self):
-        runner = ScenarioRunner(compile_caches=False)
-        with pytest.raises(ValueError):
-            runner.warm_snapshot()
 
 
 class TestFailurePersistence:

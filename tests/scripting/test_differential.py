@@ -5,11 +5,15 @@ Three layers of evidence, from micro to macro:
 * a seeded fuzzer generates random-but-valid MiniScript programs and runs
   each through both engines -- values, error classes and completion flags
   must match exactly;
-* the scenario corpus (seeded suite plus every pinned regression spec)
-  replays under both engines and the canonical parity reports must be
-  byte-identical;
+* the scenario corpus (a 50-scenario seeded suite plus every pinned
+  regression spec) replays under both engines and the canonical parity
+  reports must be byte-identical;
 * the Section-6.4 defense-effectiveness matrix runs under both engines and
   every attack verdict must match.
+
+The macro layers select the engine with :func:`.walker_engine.use_engine`,
+which swaps the walker into the browser's script runtime; each asserts the
+engine it asked for is the only one that was built.
 
 The fuzzer deliberately avoids the few constructs whose *failure shape*
 legitimately differs between engines (deep recursion trips Python's own
@@ -32,6 +36,8 @@ from repro.scripting.errors import ScriptError
 from repro.scripting.interpreter import Interpreter
 from repro.scripting.parser import parse_script
 from repro.scripting.vm import VirtualMachine
+
+from .walker_engine import ENGINES, use_engine
 
 
 def describe(result_factory):
@@ -195,19 +201,29 @@ class TestKnownEdgeCases:
 # -- macro parity: scenarios and the defense matrix -----------------------------------
 
 
-def _suite_report(script_engine: str) -> str:
-    suite = run_suite(
-        seed=42,
-        count=12,
-        attack_ratio=0.25,
-        runner=ScenarioRunner(script_engine=script_engine),
-    )
+def _suite_report(engine: str) -> str:
+    with use_engine(engine) as use:
+        suite = run_suite(seed=42, count=50, attack_ratio=0.25, runner=ScenarioRunner())
+    use.assert_only(engine)
     return canonical_spec_json(suite.parity_dict())
 
 
 def test_scenario_suite_is_engine_invariant():
     """The canonical suite report must be byte-identical under both engines."""
     assert _suite_report("vm") == _suite_report("walker")
+
+
+def _observed(run):
+    """What one model's run observed: state, mediation counts and denials."""
+    return (
+        run.digest,
+        run.mediations,
+        run.denied,
+        run.pages_loaded,
+        run.tasks_run,
+        run.attack_result.succeeded if run.attack_result else None,
+        [denial.as_dict() for denial in run.attack_denials],
+    )
 
 
 def test_corpus_entries_are_engine_invariant():
@@ -221,14 +237,15 @@ def test_corpus_entries_are_engine_invariant():
     for path, entry in entries:
         scenario = Scenario.from_dict(entry.spec)
         verdicts = {}
-        for engine in ("vm", "walker"):
-            runner = ScenarioRunner(models=entry.models, script_engine=engine)
-            runs = runner.run(scenario)
+        for engine in ENGINES:
+            with use_engine(engine) as use:
+                runs = ScenarioRunner(models=entry.models).run(scenario)
+            use.assert_only(engine)
             verdict = DifferentialOracle().classify(scenario, runs)
             verdicts[engine] = (
                 verdict.ok,
                 verdict.reason,
-                {model: run.digest for model, run in runs.items()},
+                {model: _observed(run) for model, run in runs.items()},
             )
         assert verdicts["vm"] == verdicts["walker"], f"{path.name} diverges"
 
@@ -247,6 +264,9 @@ def test_defense_matrix_is_engine_invariant():
         }
 
     attacks = registered_attacks()
-    vm_matrix = flatten(defense_effectiveness_matrix(attacks, script_engine="vm"))
-    walker_matrix = flatten(defense_effectiveness_matrix(attacks, script_engine="walker"))
-    assert vm_matrix == walker_matrix
+    matrices = {}
+    for engine in ENGINES:
+        with use_engine(engine) as use:
+            matrices[engine] = flatten(defense_effectiveness_matrix(attacks))
+        use.assert_only(engine)
+    assert matrices["vm"] == matrices["walker"]
